@@ -2,9 +2,12 @@
 
 Implements the plain gated recurrent cell, its decay-mechanism variant for
 missing data, a standard LSTM step for the baseline, and a dense layer for
-the feed-forward baseline. Every forward step returns a write-once cache
-holding exactly the intermediates the matching backward step needs; backward
-passes are exact reverse-mode, gradient-checked against finite differences.
+the feed-forward baseline. Both gated recurrent cells share one private gate
+update and its backward pass; the decay cell is a preamble over it that
+decays the input and the carried state and adds the mask terms V·m to each
+gate. Every forward step returns a write-once cache holding exactly the
+intermediates the matching backward step needs; backward passes are exact
+reverse-mode, gradient-checked against finite differences.
 
 Conventions: x is the input vector [D], h the hidden state [H]. The decay
 rate is exp(-max(0, w·delta + b)), so it lives in (0, 1] and its gradient is
@@ -13,7 +16,7 @@ zero wherever the rectifier is inactive (subgradient 0 at the kink).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,8 +26,15 @@ from .linalg import sigmoid
 Grads = dict[str, np.ndarray]
 
 
+class _Params:
+    def tensors(self) -> dict[str, np.ndarray]:
+        """Trainable tensors by field name, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.metadata.get("trained", True)}
+
+
 @dataclass
-class GruParams:
+class GruParams(_Params):
     w_r: np.ndarray  # [H, D]
     u_r: np.ndarray  # [H, H]
     b_r: np.ndarray  # [H]
@@ -34,9 +44,6 @@ class GruParams:
     w_c: np.ndarray  # candidate-state weights
     u_c: np.ndarray
     b_c: np.ndarray
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -48,16 +55,12 @@ class GrudParams(GruParams):
     b_decay_x: np.ndarray  # [D]
     w_decay_h: np.ndarray  # [H, D] hidden decay
     b_decay_h: np.ndarray  # [H]
-    x_mean: np.ndarray = None  # [D] frozen training mean; not trained
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        del out["x_mean"]  # frozen buffer, not a trainable tensor
-        return out
+    # [D] frozen training mean; a buffer, not a trainable tensor
+    x_mean: np.ndarray = field(default=None, metadata={"trained": False})
 
 
 @dataclass
-class LstmParams:
+class LstmParams(_Params):
     w_f: np.ndarray
     u_f: np.ndarray
     b_f: np.ndarray
@@ -71,33 +74,78 @@ class LstmParams:
     u_g: np.ndarray
     b_g: np.ndarray
 
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass
-class DenseParams:
+class DenseParams(_Params):
     w: np.ndarray  # [out, in]
     b: np.ndarray  # [out]
-    activation: str = "tanh"  # "tanh" or "identity"
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {"w": self.w, "b": self.b}
+    # "tanh" or "identity"
+    activation: str = field(default="tanh", metadata={"trained": False})
 
 
-def zero_grads(params) -> Grads:
-    return {name: np.zeros_like(t) for name, t in params.tensors().items()}
+def _decay(w: np.ndarray, b: np.ndarray, delta: np.ndarray):
+    """Pre-activation and rate of the rectified exponential decay."""
+    pre = (w * delta if w.ndim == 1 else w @ delta) + b
+    return pre, np.exp(-np.maximum(pre, 0.0))
 
 
 def decay_rate(w: np.ndarray, b: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """exp(-max(0, w·delta + b)); diagonal (1-D w) or full (2-D w) map."""
-    pre = (w * delta if w.ndim == 1 else w @ delta) + b
-    return np.exp(-np.maximum(pre, 0.0))
+    return _decay(w, b, delta)[1]
+
+
+def _decay_backward(pre, gamma, dgamma):
+    """Gradient at the decay pre-activation; zero where the rectifier is off."""
+    return np.where(pre > 0.0, -gamma * dgamma, 0.0)
 
 
 def _check(name: str, got, want) -> None:
     if got.shape != tuple(want):
         raise ShapeError(f"{name}: expected shape {tuple(want)}, got {got.shape}")
+
+
+# --- shared gate update -------------------------------------------------------
+
+def _gates(p: GruParams, x: np.ndarray, h_prev: np.ndarray, extra=None):
+    """Gates, candidate and new state; `extra` holds the decay cell's V·m term
+    per gate (r, z, c), added before the bias; the plain cell has none."""
+    a_r = p.w_r @ x + p.u_r @ h_prev
+    a_z = p.w_z @ x + p.u_z @ h_prev
+    if extra is not None:
+        a_r += extra[0]
+        a_z += extra[1]
+    r = sigmoid(a_r + p.b_r)
+    z = sigmoid(a_z + p.b_z)
+    a_c = p.w_c @ x + p.u_c @ (r * h_prev)
+    if extra is not None:
+        a_c += extra[2]
+    c = np.tanh(a_c + p.b_c)
+    h = (1.0 - z) * h_prev + z * c
+    return h, r, z, c
+
+
+def _gates_backward(p: GruParams, x, h_prev, cache: dict, dh):
+    """Backward of `_gates` on input `x` and state `h_prev`; the bias grads
+    b_r, b_z, b_c are the gate pre-activation grads."""
+    r, z, c = cache["r"], cache["z"], cache["c"]
+    dz = dh * (c - h_prev)
+    dc = dh * z
+    dh_prev = dh * (1.0 - z)
+
+    da_c = dc * (1.0 - c * c)
+    d_rh = p.u_c.T @ da_c
+    dr = d_rh * h_prev
+    dh_prev = dh_prev + d_rh * r
+
+    da_r = dr * r * (1.0 - r)
+    da_z = dz * z * (1.0 - z)
+    g = {"w_r": np.outer(da_r, x), "u_r": np.outer(da_r, h_prev), "b_r": da_r,
+         "w_z": np.outer(da_z, x), "u_z": np.outer(da_z, h_prev), "b_z": da_z,
+         "w_c": np.outer(da_c, x), "u_c": np.outer(da_c, r * h_prev),
+         "b_c": da_c}
+    dh_prev = dh_prev + p.u_r.T @ da_r + p.u_z.T @ da_z
+    dx = p.w_c.T @ da_c + p.w_r.T @ da_r + p.w_z.T @ da_z
+    return g, dh_prev, dx
 
 
 # --- plain gated recurrent cell ---------------------------------------------
@@ -106,49 +154,21 @@ def gru_step(p: GruParams, x: np.ndarray, h_prev: np.ndarray):
     h_dim, d = p.w_r.shape
     _check("x", x, (d,))
     _check("h_prev", h_prev, (h_dim,))
-    r = sigmoid(p.w_r @ x + p.u_r @ h_prev + p.b_r)
-    z = sigmoid(p.w_z @ x + p.u_z @ h_prev + p.b_z)
-    c = np.tanh(p.w_c @ x + p.u_c @ (r * h_prev) + p.b_c)
-    h = (1.0 - z) * h_prev + z * c
+    h, r, z, c = _gates(p, x, h_prev)
     cache = {"x": x, "h_prev": h_prev, "r": r, "z": z, "c": c}
     return h, cache
 
 
 def gru_step_backward(p: GruParams, cache: dict, dh: np.ndarray):
-    x, h_prev = cache["x"], cache["h_prev"]
-    r, z, c = cache["r"], cache["z"], cache["c"]
-    g = zero_grads(p)
-
-    dz = dh * (c - h_prev)
-    dc = dh * z
-    dh_prev = dh * (1.0 - z)
-
-    da_c = dc * (1.0 - c * c)
-    g["w_c"] += np.outer(da_c, x)
-    g["u_c"] += np.outer(da_c, r * h_prev)
-    g["b_c"] += da_c
-    d_rh = p.u_c.T @ da_c
-    dr = d_rh * h_prev
-    dh_prev = dh_prev + d_rh * r
-
-    da_r = dr * r * (1.0 - r)
-    da_z = dz * z * (1.0 - z)
-    g["w_r"] += np.outer(da_r, x)
-    g["u_r"] += np.outer(da_r, h_prev)
-    g["b_r"] += da_r
-    g["w_z"] += np.outer(da_z, x)
-    g["u_z"] += np.outer(da_z, h_prev)
-    g["b_z"] += da_z
-    dh_prev = dh_prev + p.u_r.T @ da_r + p.u_z.T @ da_z
-    dx = p.w_c.T @ da_c + p.w_r.T @ da_r + p.w_z.T @ da_z
-    return g, dh_prev, dx
+    return _gates_backward(p, cache["x"], cache["h_prev"], cache, dh)
 
 
 # --- decay-mechanism cell ----------------------------------------------------
 
 def grud_step(p: GrudParams, x: np.ndarray, m: np.ndarray, delta: np.ndarray,
               x_last: np.ndarray, h_prev: np.ndarray):
-    """One step of the decay cell on possibly-missing input.
+    """One step of the decay cell on possibly-missing input: the decay
+    preamble (x_hat, h_hat) plus the shared gate update with V·m terms.
 
     `x_last` is the most recent observed value per variable before this step
     (the frozen training mean before any observation). Missing entries of `x`
@@ -164,18 +184,13 @@ def grud_step(p: GrudParams, x: np.ndarray, m: np.ndarray, delta: np.ndarray,
     _check("h_prev", h_prev, (h_dim,))
 
     x_obs = np.where(m > 0.5, x, 0.0)  # sanitize sentinels before arithmetic
-    pre_x = p.w_decay_x * delta + p.b_decay_x
-    gamma_x = np.exp(-np.maximum(pre_x, 0.0))
-    pre_h = p.w_decay_h @ delta + p.b_decay_h
-    gamma_h = np.exp(-np.maximum(pre_h, 0.0))
+    pre_x, gamma_x = _decay(p.w_decay_x, p.b_decay_x, delta)
+    pre_h, gamma_h = _decay(p.w_decay_h, p.b_decay_h, delta)
 
     x_hat = m * x_obs + (1.0 - m) * (gamma_x * x_last + (1.0 - gamma_x) * p.x_mean)
     h_hat = gamma_h * h_prev
 
-    r = sigmoid(p.w_r @ x_hat + p.u_r @ h_hat + p.v_r @ m + p.b_r)
-    z = sigmoid(p.w_z @ x_hat + p.u_z @ h_hat + p.v_z @ m + p.b_z)
-    c = np.tanh(p.w_c @ x_hat + p.u_c @ (r * h_hat) + p.v_c @ m + p.b_c)
-    h = (1.0 - z) * h_hat + z * c
+    h, r, z, c = _gates(p, x_hat, h_hat, (p.v_r @ m, p.v_z @ m, p.v_c @ m))
     cache = {"x_obs": x_obs, "m": m, "delta": delta, "x_last": x_last,
              "h_prev": h_prev, "pre_x": pre_x, "gamma_x": gamma_x,
              "pre_h": pre_h, "gamma_h": gamma_h, "x_hat": x_hat,
@@ -184,54 +199,24 @@ def grud_step(p: GrudParams, x: np.ndarray, m: np.ndarray, delta: np.ndarray,
 
 
 def grud_step_backward(p: GrudParams, cache: dict, dh: np.ndarray):
-    m, delta = cache["m"], cache["delta"]
-    x_last, h_prev = cache["x_last"], cache["h_prev"]
-    gamma_x, gamma_h = cache["gamma_x"], cache["gamma_h"]
-    x_hat, h_hat = cache["x_hat"], cache["h_hat"]
-    r, z, c = cache["r"], cache["z"], cache["c"]
-    g = zero_grads(p)
-
-    dz = dh * (c - h_hat)
-    dc = dh * z
-    dh_hat = dh * (1.0 - z)
-
-    da_c = dc * (1.0 - c * c)
-    g["w_c"] += np.outer(da_c, x_hat)
-    g["u_c"] += np.outer(da_c, r * h_hat)
-    g["v_c"] += np.outer(da_c, m)
-    g["b_c"] += da_c
-    d_rh = p.u_c.T @ da_c
-    dr = d_rh * h_hat
-    dh_hat = dh_hat + d_rh * r
-
-    da_r = dr * r * (1.0 - r)
-    da_z = dz * z * (1.0 - z)
-    g["w_r"] += np.outer(da_r, x_hat)
-    g["u_r"] += np.outer(da_r, h_hat)
-    g["v_r"] += np.outer(da_r, m)
-    g["b_r"] += da_r
-    g["w_z"] += np.outer(da_z, x_hat)
-    g["u_z"] += np.outer(da_z, h_hat)
-    g["v_z"] += np.outer(da_z, m)
-    g["b_z"] += da_z
-    dh_hat = dh_hat + p.u_r.T @ da_r + p.u_z.T @ da_z
-    dx_hat = p.w_c.T @ da_c + p.w_r.T @ da_r + p.w_z.T @ da_z
+    m, delta, gamma_h = cache["m"], cache["delta"], cache["gamma_h"]
+    g, dh_hat, dx_hat = _gates_backward(p, cache["x_hat"], cache["h_hat"],
+                                        cache, dh)
+    for gate in "rzc":  # mask weights: the extra term V·m of each gate
+        g[f"v_{gate}"] = np.outer(g[f"b_{gate}"], m)
 
     # hidden decay path: h_hat = gamma_h * h_prev
-    dgamma_h = dh_hat * h_prev
-    dh_prev = dh_hat * gamma_h
-    da_h = np.where(cache["pre_h"] > 0.0, -gamma_h * dgamma_h, 0.0)
-    g["w_decay_h"] += np.outer(da_h, delta)
-    g["b_decay_h"] += da_h
+    da_h = _decay_backward(cache["pre_h"], gamma_h, dh_hat * cache["h_prev"])
+    g["w_decay_h"] = np.outer(da_h, delta)
+    g["b_decay_h"] = da_h
 
     # input decay path: x_hat mixes x_last and the frozen mean on missing slots
-    dgamma_x = dx_hat * (1.0 - m) * (x_last - p.x_mean)
-    da_x = np.where(cache["pre_x"] > 0.0, -gamma_x * dgamma_x, 0.0)
-    g["w_decay_x"] += da_x * delta
-    g["b_decay_x"] += da_x
+    dgamma_x = dx_hat * (1.0 - m) * (cache["x_last"] - p.x_mean)
+    da_x = _decay_backward(cache["pre_x"], cache["gamma_x"], dgamma_x)
+    g["w_decay_x"] = da_x * delta
+    g["b_decay_x"] = da_x
 
-    dx = dx_hat * m
-    return g, dh_prev, dx
+    return g, dh_hat * gamma_h, dx_hat * m
 
 
 # --- LSTM baseline -----------------------------------------------------------
@@ -258,7 +243,6 @@ def lstm_step_backward(p: LstmParams, cache: dict, dh: np.ndarray,
                        dc_in: np.ndarray):
     x, h_prev, c_prev = cache["x"], cache["h_prev"], cache["c_prev"]
     f, i, o, gc, tc = cache["f"], cache["i"], cache["o"], cache["gc"], cache["tc"]
-    g = zero_grads(p)
 
     do = dh * tc
     dc = dc_in + dh * o * (1.0 - tc * tc)
@@ -273,14 +257,14 @@ def lstm_step_backward(p: LstmParams, cache: dict, dh: np.ndarray,
         "o": do * o * (1.0 - o),
         "g": dgc * (1.0 - gc * gc),
     }
-    dh_prev = np.zeros_like(h_prev)
-    dx = np.zeros_like(x)
+    g = {}
+    dh_prev = dx = 0.0
     for gate, d_pre in da.items():
-        g[f"w_{gate}"] += np.outer(d_pre, x)
-        g[f"u_{gate}"] += np.outer(d_pre, h_prev)
-        g[f"b_{gate}"] += d_pre
-        dh_prev += getattr(p, f"u_{gate}").T @ d_pre
-        dx += getattr(p, f"w_{gate}").T @ d_pre
+        g[f"w_{gate}"] = np.outer(d_pre, x)
+        g[f"u_{gate}"] = np.outer(d_pre, h_prev)
+        g[f"b_{gate}"] = d_pre
+        dh_prev = dh_prev + getattr(p, f"u_{gate}").T @ d_pre
+        dx = dx + getattr(p, f"w_{gate}").T @ d_pre
     return g, dh_prev, dc_prev, dx
 
 
@@ -300,20 +284,6 @@ def dense_step_backward(p: DenseParams, cache: dict, dy: np.ndarray):
     g = {"w": np.outer(da, x), "b": da.copy()}
     dx = p.w.T @ da
     return g, dx
-
-
-def step_backward(kind: str, params, cache: dict, dh: np.ndarray,
-                  dc: np.ndarray | None = None):
-    """Dispatch to the matching backward kernel for `kind`."""
-    if kind == "gru":
-        return gru_step_backward(params, cache, dh)
-    if kind == "gru-d":
-        return grud_step_backward(params, cache, dh)
-    if kind == "lstm":
-        return lstm_step_backward(params, cache, dh, dc)
-    if kind == "dense":
-        return dense_step_backward(params, cache, dh)
-    raise ShapeError(f"unknown cell kind: {kind}")
 
 
 # --- initialization -----------------------------------------------------------
@@ -363,15 +333,3 @@ def init_lstm(d: int, h: int, rng) -> LstmParams:
 def init_dense(d_in: int, d_out: int, rng, activation: str = "tanh") -> DenseParams:
     return DenseParams(w=_weight(rng, d_out, d_in), b=np.zeros(d_out),
                        activation=activation)
-
-
-def init_params(kind: str, d: int, h: int, rng):
-    if kind == "gru":
-        return init_gru(d, h, rng)
-    if kind == "gru-d":
-        return init_grud(d, h, rng)
-    if kind == "lstm":
-        return init_lstm(d, h, rng)
-    if kind == "dense":
-        return init_dense(d, h, rng)
-    raise ShapeError(f"unknown cell kind: {kind}")

@@ -8,12 +8,13 @@ resolved configuration is written beside them.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import experiments, network, timeseries
-from .errors import FrictionCastError
+from .errors import ConfigError, FrictionCastError
 from .linalg import new_rng
 
 
@@ -35,18 +36,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON configuration file")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--seed", type=int, default=None, help="master seed")
-    p.add_argument("--threads", type=int, default=1, help="parallel jobs")
 
 
 def cmd_synth(args) -> int:
     config = _load_config(args)
     out = _out_dir(args)
-    series = []
     base = config.synth or timeseries.SynthConfig()
-    for i in range(config.n_seeds):
-        import dataclasses
-        series.append(timeseries.synthesize(
-            dataclasses.replace(base, seed=base.seed + i)))
+    series = [timeseries.synthesize(dataclasses.replace(base, seed=base.seed + i))
+              for i in range(config.n_seeds)]
     path = out / "synthetic.csv"
     experiments.write_series_csv(series, path)
     experiments.write_manifest(config, out / "run_manifest.json", "synth")
@@ -56,6 +53,9 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_config(args)
+    if config.csv_path and (n := len(timeseries.ingest_csv(config.csv_path))) > 1:
+        raise ConfigError(f"{config.csv_path}: train fits one segment, the file "
+                          f"has {n} segments; benchmark averages over them")
     out = _out_dir(args)
     entry = config.models[0]
     rate = config.missing_rates[0]
@@ -161,21 +161,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="emit a synthetic friction CSV")
-    _add_common(p)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("train", help="train a single configuration")
-    _add_common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("benchmark", help="run the model x imputation grid")
-    _add_common(p)
-    p.set_defaults(func=cmd_benchmark)
-
-    p = sub.add_parser("sweep", help="missing-rate sweep")
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep)
+    for name, func, help_text in (
+            ("synth", cmd_synth, "emit a synthetic friction CSV"),
+            ("train", cmd_train, "train a single configuration"),
+            ("benchmark", cmd_benchmark, "run the model x imputation grid"),
+            ("sweep", cmd_sweep, "missing-rate sweep")):
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p)
+        if name in ("benchmark", "sweep"):  # the only grid-running commands
+            p.add_argument("--threads", type=int, default=1,
+                           help="parallel jobs")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("decay-curve", help="export the learned input decay")
     p.add_argument("--model", required=True, help="trained model.json")

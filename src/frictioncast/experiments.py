@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import network, timeseries, training
+from . import cells, network, timeseries, training
 from .errors import ConfigError, DataError
 from .linalg import new_rng
 from .training import TrainConfig, TrainReport
@@ -262,13 +262,10 @@ def export_decay_curve(model: network.Model, delta_max: float,
     if delta_max <= 0 or step <= 0:
         raise ConfigError("delta_max and step must be positive")
     p = model.layers[0]
-    out = []
     n = int(math.floor(delta_max / step + 1e-9)) + 1
-    for k in range(n):
-        d = k * step
-        gamma = float(np.exp(-max(0.0, p.w_decay_x[0] * d + p.b_decay_x[0])))
-        out.append((d, gamma))
-    return out
+    deltas = np.arange(n) * step
+    gammas = cells.decay_rate(p.w_decay_x[:1], p.b_decay_x[:1], deltas)
+    return list(zip(deltas.tolist(), gammas.tolist()))
 
 
 # --- file outputs -------------------------------------------------------------

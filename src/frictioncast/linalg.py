@@ -1,18 +1,13 @@
-"""Dense float64 vector/matrix kernel and the seeded random source.
+"""Numerically safe sigmoid and the seeded random source.
 
-Vectors are 1-D and matrices 2-D numpy float64 arrays. The random source is
-numpy's PCG64 generator, which is bit-reproducible for a given seed across
-platforms; every seed used anywhere in the package flows through `new_rng`.
+The random source is numpy's PCG64 generator, which is bit-reproducible for a
+given seed across platforms; every seed used anywhere in the package flows
+through `new_rng`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import ShapeError
-
-Vec = np.ndarray
-Mat = np.ndarray
 
 
 def new_rng(seed: int) -> np.random.Generator:
@@ -20,29 +15,7 @@ def new_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def as_vec(data) -> Vec:
-    v = np.asarray(data, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeError(f"expected 1-D vector, got shape {v.shape}")
-    return v
-
-
-def as_mat(data) -> Mat:
-    m = np.asarray(data, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"expected 2-D matrix, got shape {m.shape}")
-    return m
-
-
-def matvec(w: Mat, x: Vec) -> Vec:
-    if w.ndim != 2 or x.ndim != 1 or w.shape[1] != x.shape[0]:
-        raise ShapeError(
-            f"matvec shape mismatch: matrix {w.shape} vs vector {x.shape}"
-        )
-    return w @ x
-
-
-def sigmoid(v: Vec) -> Vec:
+def sigmoid(v: np.ndarray) -> np.ndarray:
     # Split by sign to avoid overflow in exp for large |v|.
     out = np.empty_like(v, dtype=np.float64)
     pos = v >= 0
@@ -50,19 +23,3 @@ def sigmoid(v: Vec) -> Vec:
     ev = np.exp(v[~pos])
     out[~pos] = ev / (1.0 + ev)
     return out
-
-
-def tanh_vec(v: Vec) -> Vec:
-    return np.tanh(v)
-
-
-def hadamard(a: Vec, b: Vec) -> Vec:
-    if a.shape != b.shape:
-        raise ShapeError(f"hadamard shape mismatch: {a.shape} vs {b.shape}")
-    return a * b
-
-
-def sample_normal(rng: np.random.Generator, n: int, std: float) -> Vec:
-    if std < 0:
-        raise ShapeError(f"std must be >= 0, got {std}")
-    return std * rng.standard_normal(n)

@@ -107,6 +107,8 @@ def ingest_csv(path) -> dict[str, SegmentSeries]:
                 friction = float(row[2])
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-numeric field") from None
+            if not (math.isfinite(day) and math.isfinite(friction)):
+                raise DataError(f"{path}:{lineno}: non-finite field")
             if day < 0:
                 raise DataError(f"{path}:{lineno}: negative day_index")
             seg_rows = rows_by_seg.setdefault(seg, {})

@@ -158,7 +158,24 @@ def test_grud_reduces_to_gru():
         hg, _ = cells.gru_step(gru, x, h_prev)
         hd, _ = cells.grud_step(grud, x, np.ones(1), rng.random(1),
                                 rng.random(1), h_prev)
-        assert np.allclose(hg, hd, atol=1e-12)
+        assert np.array_equal(hg, hd)
+
+
+def test_grud_backward_reduces_to_gru():
+    # V = 0 and gamma == 1 on observed input: the shared gate gradients, the
+    # carried-state and the input gradients are the plain cell's, bit for bit
+    rng = new_rng(26)
+    for _ in range(30):
+        gru = cells.init_gru(1, 4, rng)
+        grud = grud_from_gru(gru, 1, 4, x_mean=np.array([0.5]))
+        x, h_prev, dh = rng.random(1), rng.standard_normal(4), rng.standard_normal(4)
+        _, cg = cells.gru_step(gru, x, h_prev)
+        _, cd = cells.grud_step(grud, x, np.ones(1), rng.random(1),
+                                rng.random(1), h_prev)
+        gg, dh_g, dx_g = cells.gru_step_backward(gru, cg, dh)
+        gd, dh_d, dx_d = cells.grud_step_backward(grud, cd, dh)
+        assert all(np.array_equal(gg[k], gd[k]) for k in gru.tensors())
+        assert np.array_equal(dh_g, dh_d) and np.array_equal(dx_g, dx_d)
 
 
 def test_grud_missing_with_unit_decay_uses_last_observation():
@@ -393,14 +410,3 @@ def test_zero_upstream_gradient_gives_zero_grads():
     g, dh_prev, dx = cells.gru_step_backward(p, cache, np.zeros(3))
     assert all(np.all(t == 0) for t in g.values())
     assert np.all(dh_prev == 0) and np.all(dx == 0)
-
-
-def test_step_backward_dispatcher():
-    rng = new_rng(25)
-    p = cells.init_gru(1, 3, rng)
-    _, cache = cells.gru_step(p, rng.standard_normal(1), rng.standard_normal(3))
-    g1, _, _ = cells.gru_step_backward(p, cache, np.ones(3))
-    g2, _, _ = cells.step_backward("gru", p, cache, np.ones(3))
-    assert all(np.array_equal(g1[k], g2[k]) for k in g1)
-    with pytest.raises(ShapeError):
-        cells.step_backward("nope", p, cache, np.ones(3))

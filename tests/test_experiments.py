@@ -234,3 +234,24 @@ def test_cli_threads_match_sequential(tmp_path):
     assert cli.main(["benchmark", "--config", cfgp, "--out", str(out2),
                      "--seed", "4", "--threads", "2"]) == 0
     assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+
+
+def test_cli_train_rejects_multi_segment_csv(tmp_path, capsys):
+    csv_path = tmp_path / "two.csv"
+    csv_path.write_text("segment_id,day_index,friction\n" + "".join(
+        f"{seg},{d},0.{5 + d % 3}\n" for seg in ("a", "b") for d in range(20)))
+    doc = dict(TINY, data={"csv": str(csv_path)}, models=[{"variant": "gru-d"}])
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "two.csv" in err and "2 segments" in err
+    assert "Traceback" not in err
+    assert not (out / "model.json").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "synth"])
+def test_cli_threads_only_on_grid_commands(tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--out", str(tmp_path), "--threads", "2"])
+    assert exc.value.code == 2

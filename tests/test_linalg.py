@@ -5,25 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from frictioncast import linalg
-from frictioncast.errors import ShapeError
-
-
-def test_matvec_identity():
-    assert np.allclose(linalg.matvec(np.eye(2), np.array([3.0, 4.0])), [3, 4])
-
-
-def test_matvec_hand_case():
-    w = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.allclose(linalg.matvec(w, np.array([1.0, 1.0])), [3.0, 7.0])
-
-
-def test_matvec_zero_matrix():
-    assert np.allclose(linalg.matvec(np.zeros((2, 2)), np.array([5.0, 6.0])), 0.0)
-
-
-def test_matvec_shape_error_names_both_shapes():
-    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2,\)"):
-        linalg.matvec(np.zeros((2, 3)), np.zeros(2))
 
 
 def test_sigmoid_values():
@@ -46,54 +27,6 @@ def test_sigmoid_huge_inputs_do_not_overflow():
 def test_sigmoid_symmetry(x):
     v = np.array([x])
     assert linalg.sigmoid(-v)[0] == pytest.approx(1 - linalg.sigmoid(v)[0], abs=1e-12)
-
-
-def test_tanh_values():
-    assert linalg.tanh_vec(np.array([0.0]))[0] == 0.0
-    assert linalg.tanh_vec(np.array([1.0]))[0] == pytest.approx(0.761594, abs=1e-6)
-
-
-@given(st.floats(-30, 30))
-def test_tanh_odd(x):
-    v = np.array([x])
-    assert linalg.tanh_vec(-v)[0] == -linalg.tanh_vec(v)[0]
-
-
-def test_hadamard():
-    assert np.allclose(linalg.hadamard(np.array([1.0, 2.0]), np.array([3.0, 4.0])),
-                       [3.0, 8.0])
-    v = np.array([1.5, -2.0, 0.25])
-    assert np.allclose(linalg.hadamard(np.ones(3), v), v)
-    assert np.allclose(linalg.hadamard(np.zeros(3), v), 0.0)
-    with pytest.raises(ShapeError):
-        linalg.hadamard(np.zeros(2), np.zeros(3))
-
-
-def test_sample_normal_deterministic():
-    a = linalg.sample_normal(linalg.new_rng(11), 64, 1.0)
-    b = linalg.sample_normal(linalg.new_rng(11), 64, 1.0)
-    assert np.array_equal(a, b)
-
-
-def test_sample_normal_zero_std():
-    assert np.all(linalg.sample_normal(linalg.new_rng(0), 10, 0.0) == 0.0)
-
-
-def test_sample_normal_statistics():
-    v = linalg.sample_normal(linalg.new_rng(3), 100_000, 1.0)
-    assert abs(np.mean(v)) < 0.02
-    assert abs(np.std(v) - 1.0) < 0.02
-
-
-def test_matvec_linearity():
-    rng = linalg.new_rng(5)
-    for _ in range(20):
-        w = rng.standard_normal((4, 6))
-        x, y = rng.standard_normal(6), rng.standard_normal(6)
-        a, b = rng.standard_normal(2)
-        lhs = linalg.matvec(w, a * x + b * y)
-        rhs = a * linalg.matvec(w, x) + b * linalg.matvec(w, y)
-        assert np.allclose(lhs, rhs, atol=1e-12)
 
 
 def test_rng_streams_bit_reproducible():

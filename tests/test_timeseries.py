@@ -45,6 +45,16 @@ def test_ingest_rejects_non_numeric_with_line_number(tmp_path):
         ts.ingest_csv(p)
 
 
+@pytest.mark.parametrize("day,friction", [
+    ("0", "nan"), ("0", "inf"), ("0", "-inf"), ("nan", "0.5"), ("inf", "0.5"),
+])
+def test_ingest_rejects_non_finite_with_line_number(tmp_path, day, friction):
+    p = write_csv(tmp_path, "segment_id,day_index,friction\n"
+                            f"a,1,0.8\na,{day},{friction}\n")
+    with pytest.raises(DataError, match=r"data\.csv:3: non-finite"):
+        ts.ingest_csv(p)
+
+
 def test_ingest_rejects_empty(tmp_path):
     with pytest.raises(DataError):
         ts.ingest_csv(write_csv(tmp_path, ""))
