@@ -23,9 +23,6 @@ import numpy as np
 from .errors import ShapeError
 from .linalg import sigmoid
 
-Grads = dict[str, np.ndarray]
-
-
 class _Params:
     def tensors(self) -> dict[str, np.ndarray]:
         """Trainable tensors by field name, in declaration order."""

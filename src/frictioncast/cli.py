@@ -9,27 +9,42 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
 from . import experiments, network, timeseries
-from .errors import ConfigError, FrictionCastError
+from .errors import ConfigError, FrictionCastError, read_json_object
 from .linalg import new_rng
 
 
 def _load_config(args) -> experiments.ExperimentConfig:
-    doc = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as f:
-            doc = json.load(f)
-    return experiments.config_from_json(doc, seed=args.seed)
+    if not args.config:
+        return experiments.config_from_json({}, seed=args.seed)
+    doc = read_json_object(args.config, "config")
+    try:
+        return experiments.config_from_json(doc, seed=args.seed)
+    except ConfigError as exc:
+        raise ConfigError(f"{args.config}: {exc}") from exc
 
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, no permission
+        raise ConfigError(f"{out}: cannot use as output directory: "
+                          f"{exc.strerror}") from exc
     return out
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -169,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
         if name in ("benchmark", "sweep"):  # the only grid-running commands
-            p.add_argument("--threads", type=int, default=1,
+            p.add_argument("--threads", type=_positive_int, default=1,
                            help="parallel jobs")
         p.set_defaults(func=func)
 
@@ -181,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--draws", type=int, default=5)
+    p.add_argument("--draws", type=_positive_int, default=5)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

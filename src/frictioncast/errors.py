@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON reader that
+turns a bad file into one of them."""
+
+import json
 
 
 class FrictionCastError(Exception):
@@ -23,3 +26,18 @@ class UnimputedValueError(FrictionCastError, ValueError):
 
 class DivergenceError(FrictionCastError, RuntimeError):
     """Training produced a non-finite loss."""
+
+
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in the file at `path`; a missing, unreadable or
+    malformed file raises ConfigError naming the path and `what` it held."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read {what}: {exc.strerror}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"{path}: {what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: {what} must be a JSON object")
+    return doc

@@ -61,44 +61,97 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.window_len < 1:
-            raise ConfigError("window_len must be >= 1")
+        if self.window_len < 2:
+            raise ConfigError("window_len (T) must be >= 2: a one-step window "
+                              "has no interval between observations")
         if not self.models:
             raise ConfigError("at least one model entry is required")
-        if any(not 0.0 <= r < 1.0 for r in self.missing_rates):
-            raise ConfigError("missing rates must lie in [0, 1)")
+        if not self.missing_rates or any(not 0.0 <= r < 1.0
+                                         for r in self.missing_rates):
+            raise ConfigError("missing_rates must hold one or more rates "
+                              "in [0, 1)")
         if self.n_seeds < 1:
             raise ConfigError("n_seeds must be >= 1")
         if self.synth is None and self.csv_path is None:
             object.__setattr__(self, "synth", timeseries.SynthConfig())
 
 
+_INT_KEYS = {"T": "window_len", "n_seeds": "n_seeds",
+             "hidden_size": "hidden_size", "recurrent_depth": "recurrent_depth",
+             "ffnn_hidden_layers": "ffnn_hidden_layers", "seed": "seed"}
+_CONFIG_KEYS = (*_INT_KEYS, "data", "models", "missing_rates", "train")
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string",
+               list: "a list"}
+
+
+def _checked(value, kind: type, key: str):
+    """`value` unchanged if it is a JSON value of `kind`; an integer is a valid
+    number, a bool is nothing but a bool."""
+    valid = isinstance(value, (int, float) if kind is float else kind)
+    if isinstance(value, bool) or not valid:
+        raise ConfigError(f"{key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def _object(value, where: str, keys) -> dict:
+    """`value` if it is a JSON object with no key outside `keys`; `where` is
+    its dotted path in the document, empty at the top level."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where or 'the configuration'} must be a JSON "
+                          f"object, got {value!r}")
+    for key in value:
+        if key not in keys:
+            path = f"{where}.{key}" if where else key
+            raise ConfigError(f"unknown key {path!r}; expected one of "
+                              f"{', '.join(keys)}")
+    return value
+
+
+def _dataclass_from(cls, value, where: str):
+    """A config dataclass from a JSON object, each value typed as the field's
+    default."""
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+    doc = _object(value, where, tuple(kinds))
+    return cls(**{k: _checked(v, kinds[k], f"{where}.{k}") for k, v in doc.items()})
+
+
+def _model_entry(value, where: str) -> ModelEntry:
+    entry = _object(value, where, ("variant", "imputation"))
+    if "variant" not in entry:
+        raise ConfigError(f"{where}: missing key 'variant'")
+    imputation = entry.get("imputation")
+    return ModelEntry(
+        _checked(entry["variant"], str, f"{where}.variant"),
+        None if imputation is None
+        else _checked(imputation, str, f"{where}.imputation"))
+
+
 def config_from_json(doc: dict, seed: int | None = None) -> ExperimentConfig:
-    """Build a config from a parsed JSON document (CLI `--config` payload)."""
-    kwargs = {}
-    data = doc.get("data", {})
+    """Build a config from a parsed JSON document (CLI `--config` payload).
+    An unknown key or a value of the wrong JSON type raises ConfigError
+    naming the key."""
+    _object(doc, "", _CONFIG_KEYS)
+    kwargs = {name: _checked(doc[key], int, key)
+              for key, name in _INT_KEYS.items() if key in doc}
+    data = _object(doc.get("data", {}), "data", ("csv", "synth"))
     if "csv" in data:
-        kwargs["csv_path"] = data["csv"]
+        kwargs["csv_path"] = _checked(data["csv"], str, "data.csv")
     if "synth" in data:
-        kwargs["synth"] = timeseries.SynthConfig(**data["synth"])
-    if "T" in doc:
-        kwargs["window_len"] = int(doc["T"])
+        kwargs["synth"] = _dataclass_from(timeseries.SynthConfig, data["synth"],
+                                          "data.synth")
     if "models" in doc:
         kwargs["models"] = tuple(
-            ModelEntry(m["variant"], m.get("imputation")) for m in doc["models"]
-        )
+            _model_entry(m, f"models[{i}]")
+            for i, m in enumerate(_checked(doc["models"], list, "models")))
     if "missing_rates" in doc:
-        kwargs["missing_rates"] = tuple(float(r) for r in doc["missing_rates"])
-    for key in ("n_seeds", "hidden_size", "recurrent_depth",
-                "ffnn_hidden_layers"):
-        if key in doc:
-            kwargs[key] = int(doc[key])
+        rates = _checked(doc["missing_rates"], list, "missing_rates")
+        kwargs["missing_rates"] = tuple(
+            float(_checked(r, float, f"missing_rates[{i}]"))
+            for i, r in enumerate(rates))
     if "train" in doc:
-        kwargs["train"] = TrainConfig(**doc["train"])
+        kwargs["train"] = _dataclass_from(TrainConfig, doc["train"], "train")
     if seed is not None:
         kwargs["seed"] = seed
-    elif "seed" in doc:
-        kwargs["seed"] = int(doc["seed"])
     return ExperimentConfig(**kwargs)
 
 

@@ -1,22 +1,25 @@
 """Sequence models with a scalar regression head, exact BPTT, persistence.
 
 A model is a stack of cells (depth-1 by default) plus a linear readout on the
-final hidden state. The decay variant consumes the raw mask/interval channels
-of a sample; every other variant requires fully observed (or pre-imputed)
-input. `backward` returns exact gradients of the squared-error loss, and
-`gradient_check` compares them against central finite differences.
+final hidden state; its trainable tensors are views into one flat vector. The
+decay variant consumes the raw mask/interval channels of a sample; every other
+variant requires fully observed (or pre-imputed) input. `backward` returns the
+loss gradient in that vector's layout; `gradient_check` compares it against
+central finite differences.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import cells
-from .errors import ConfigError, ShapeError, UnimputedValueError
+from .errors import (ConfigError, ShapeError, UnimputedValueError,
+                     read_json_object)
 from .missingness import TrainStats
 from .timeseries import TimeSeriesSample
 
@@ -46,24 +49,45 @@ class ModelSpec:
 
 @dataclass
 class Model:
+    """Trainable values live in one float64 vector, `theta`; the layers'
+    tensors and the head are rebound as views into it on construction."""
     spec: ModelSpec
     layers: list            # cell params per layer
     head_w: np.ndarray      # [H]
     head_b: np.ndarray      # [1]
     train_stats: TrainStats | None = None
+    theta: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        slots = [(f"layers.{i}.{name}", layer, name)
+                 for i, layer in enumerate(self.layers) for name in layer.tensors()]
+        slots += [("head.w", self, "head_w"), ("head.b", self, "head_b")]
+        layout, start = [], 0
+        for path, owner, attr in slots:
+            t = getattr(owner, attr)
+            layout.append((path, start, start + t.size, t.shape))
+            start += t.size
+        self._layout = tuple(layout)  # (path, start, stop, shape), fixed
+        self.theta = np.empty(start)
+        views = self.named_tensors()
+        for path, owner, attr in slots:
+            views[path][...] = getattr(owner, attr)
+            setattr(owner, attr, views[path])
+
+    def __deepcopy__(self, memo) -> "Model":
+        # views copied one by one lose theta; the constructor relinks them
+        return Model(spec=self.spec, layers=copy.deepcopy(self.layers, memo),
+                     head_w=self.head_w.copy(), head_b=self.head_b.copy(),
+                     train_stats=copy.deepcopy(self.train_stats, memo))
+
+    def unflatten(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """Views into a vector in theta's layout, keyed by dotted path."""
+        return {name: vec[start:stop].reshape(shape)
+                for name, start, stop, shape in self._layout}
 
     def named_tensors(self) -> dict[str, np.ndarray]:
         """Trainable tensors keyed by a stable dotted path (views, mutable)."""
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for name, t in layer.tensors().items():
-                out[f"layers.{i}.{name}"] = t
-        out["head.w"] = self.head_w
-        out["head.b"] = self.head_b
-        return out
-
-    def clone(self) -> "Model":
-        return copy.deepcopy(self)
+        return self.unflatten(self.theta)
 
 
 def build_model(spec: ModelSpec, rng,
@@ -171,10 +195,11 @@ def loss_mse(y_hat: float, y: float) -> float:
     return (y_hat - y) ** 2
 
 
-def backward(model: Model, trace: dict, y: float) -> cells.Grads:
-    """Exact gradient of (y_hat - y)^2 w.r.t. every trainable tensor."""
+def backward(model: Model, trace: dict, y: float) -> np.ndarray:
+    """Exact gradient of (y_hat - y)^2 w.r.t. theta, in theta's layout."""
     spec = model.spec
-    grads = {name: np.zeros_like(t) for name, t in model.named_tensors().items()}
+    grad = np.zeros_like(model.theta)
+    grads = model.unflatten(grad)
     dy = 2.0 * (trace["y_hat"] - y)
     grads["head.w"] += dy * trace["h_final"]
     grads["head.b"] += np.array([dy])
@@ -187,7 +212,7 @@ def backward(model: Model, trace: dict, y: float) -> cells.Grads:
                                               trace["caches"][li], dv)
             for name, val in g.items():
                 grads[f"layers.{li}.{name}"] += val
-        return grads
+        return grad
 
     n_layers = len(model.layers)
     t_len = len(trace["caches"][0])
@@ -214,35 +239,26 @@ def backward(model: Model, trace: dict, y: float) -> cells.Grads:
                 grads[f"layers.{li}.{name}"] += val
             dh[li] = dh_prev
             dx_above = dx
-    return grads
+    return grad
 
 
-def _kink_excluded(model: Model, trace: dict, eps: float) -> set[str]:
-    """Decay-tensor elements whose rectifier sits too close to its kink.
-
-    Finite differences straddle the kink there, so the comparison is
-    meaningless; excluded elements are identified by "name[i]" / "name[i,j]".
-    """
-    excluded = set()
+def _kink_excluded(model: Model, trace: dict, eps: float) -> np.ndarray:
+    """Mask over theta of the decay-tensor elements whose rectifier sits too
+    close to its kink: finite differences straddle the kink there, so the
+    comparison is meaningless."""
+    excluded = np.zeros(model.theta.size, dtype=bool)
     if model.spec.variant != "gru-d":
         return excluded
     caches = trace["caches"][0]
-    d = model.spec.input_dim
-    h = model.spec.hidden_size
     max_delta = max(float(np.max(c["delta"])) for c in caches) if caches else 0.0
     tol = 10.0 * eps * (1.0 + max_delta)
-    near_x = np.zeros(d, dtype=bool)
-    near_h = np.zeros(h, dtype=bool)
-    for c in caches:
-        near_x |= np.abs(c["pre_x"]) < tol
-        near_h |= np.abs(c["pre_h"]) < tol
-    for i in np.nonzero(near_x)[0]:
-        excluded.add(f"layers.0.w_decay_x[{i}]")
-        excluded.add(f"layers.0.b_decay_x[{i}]")
-    for i in np.nonzero(near_h)[0]:
-        for j in range(d):
-            excluded.add(f"layers.0.w_decay_h[{i},{j}]")
-        excluded.add(f"layers.0.b_decay_h[{i}]")
+    near_x = np.any([np.abs(c["pre_x"]) < tol for c in caches], axis=0)
+    near_h = np.any([np.abs(c["pre_h"]) < tol for c in caches], axis=0)
+    views = model.unflatten(excluded)
+    views["layers.0.w_decay_x"][near_x] = True
+    views["layers.0.b_decay_x"][near_x] = True
+    views["layers.0.w_decay_h"][near_h] = True  # every column of a near row
+    views["layers.0.b_decay_h"][near_h] = True
     return excluded
 
 
@@ -266,25 +282,20 @@ def gradient_check(model: Model, sample: TimeSeriesSample,
     fd_floor = 1e5 * np.finfo(float).eps * (1.0 + abs(base_loss)) / (2.0 * eps)
 
     worst = 0.0
-    for name, tensor in model.named_tensors().items():
-        it = np.nditer(tensor, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            key = f"{name}[{','.join(str(i) for i in idx)}]"
-            if key in excluded:
-                continue
-            orig = tensor[idx]
-            tensor[idx] = orig + eps
-            lp = loss_mse(forward(model, sample)[0], y)
-            tensor[idx] = orig - eps
-            lm = loss_mse(forward(model, sample)[0], y)
-            tensor[idx] = orig
-            numeric = (lp - lm) / (2.0 * eps)
-            a = analytic[name][idx]
-            if max(abs(a), abs(numeric)) < fd_floor:
-                continue
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, rel)
+    theta = model.theta
+    for k in np.flatnonzero(~excluded):
+        orig = theta[k]
+        theta[k] = orig + eps
+        lp = loss_mse(forward(model, sample)[0], y)
+        theta[k] = orig - eps
+        lm = loss_mse(forward(model, sample)[0], y)
+        theta[k] = orig
+        numeric = (lp - lm) / (2.0 * eps)
+        a = analytic[k]
+        if max(abs(a), abs(numeric)) < fd_floor:
+            continue
+        rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+        worst = max(worst, rel)
     return worst
 
 
@@ -294,8 +305,20 @@ def _tensor_doc(t: np.ndarray) -> dict:
     return {"shape": list(t.shape), "data": t.reshape(-1).tolist()}
 
 
-def _tensor_from_doc(doc: dict) -> np.ndarray:
-    return np.array(doc["data"], dtype=np.float64).reshape(doc["shape"])
+def _tensor_from_doc(doc, path, key: str, shape: tuple) -> np.ndarray:
+    """A saved tensor checked against the `shape` the model expects."""
+    try:
+        saved = tuple(doc["shape"])
+        data = np.array(doc["data"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {key}: malformed tensor ({exc})") from exc
+    if saved != shape:
+        raise ConfigError(f"{path}: {key} has shape {list(saved)}, "
+                          f"the model expects {list(shape)}")
+    if data.ndim != 1 or data.size != math.prod(shape):
+        raise ConfigError(f"{path}: {key}: {data.size} values do not fill "
+                          f"shape {list(shape)}")
+    return data.reshape(shape)
 
 
 def save_model(model: Model, path) -> None:
@@ -318,22 +341,38 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+    """Read a saved model; a document that does not fit the layout of its
+    spec (a tensor missing, unknown or misshapen) raises ConfigError."""
+    doc = read_json_object(path, "model")
     if doc.get("format") != MODEL_FORMAT:
         raise ConfigError(f"{path}: not a model document")
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise ConfigError(f"{path}: unsupported model format version")
-    spec = ModelSpec(**doc["spec"])
+    try:
+        spec = ModelSpec(**doc["spec"])
+    except (KeyError, TypeError, ConfigError) as exc:
+        raise ConfigError(f"{path}: bad model spec: {exc}") from exc
     from .linalg import new_rng
     model = build_model(spec, new_rng(0))
-    for name, tensor in model.named_tensors().items():
-        tensor[...] = _tensor_from_doc(doc["tensors"][name])
+    views = model.named_tensors()
+    saved = doc.get("tensors")
+    if not isinstance(saved, dict):
+        raise ConfigError(f"{path}: no tensors object")
+    if unknown := sorted(saved.keys() - views.keys()):
+        raise ConfigError(f"{path}: unknown tensor {unknown[0]!r}")
+    for name, view in views.items():
+        if name not in saved:
+            raise ConfigError(f"{path}: missing tensor {name!r}")
+        view[...] = _tensor_from_doc(saved[name], path, name, view.shape)
+    d = (spec.input_dim,)
     if "x_mean" in doc:
-        model.layers[0].x_mean = _tensor_from_doc(doc["x_mean"])
+        model.layers[0].x_mean = _tensor_from_doc(doc["x_mean"], path,
+                                                  "x_mean", d)
     if "train_stats" in doc:
-        model.train_stats = TrainStats(
-            mean=_tensor_from_doc(doc["train_stats"]["mean"]),
-            max_interval=_tensor_from_doc(doc["train_stats"]["max_interval"]),
-        )
+        stats = doc["train_stats"]
+        if not isinstance(stats, dict):
+            raise ConfigError(f"{path}: train_stats must be an object")
+        model.train_stats = TrainStats(*(
+            _tensor_from_doc(stats.get(k), path, f"train_stats.{k}", d)
+            for k in ("mean", "max_interval")))
     return model

@@ -47,15 +47,13 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray  # first and second moments, in theta's layout
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def for_model(cls, model: network.Model) -> "AdamState":
-        tensors = model.named_tensors()
-        return cls(m={n: np.zeros_like(a) for n, a in tensors.items()},
-                   v={n: np.zeros_like(a) for n, a in tensors.items()})
+        return cls(m=np.zeros_like(model.theta), v=np.zeros_like(model.theta))
 
 
 @dataclass
@@ -70,25 +68,21 @@ class TrainReport:
                 in enumerate(zip(self.train_losses, self.val_losses))]
 
 
-def adam_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState, config: TrainConfig) -> None:
-    """Standard bias-corrected Adam update, applied in place."""
+def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState,
+              config: TrainConfig) -> None:
+    """Standard bias-corrected Adam update of `theta`, applied in place."""
+    if grad.shape != theta.shape:
+        raise ConfigError(f"gradient shape {grad.shape} != theta {theta.shape}")
     state.t += 1
     b1, b2 = config.beta1, config.beta2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    for name, tensor in tensors.items():
-        g = grads[name]
-        if g.shape != tensor.shape:
-            raise ConfigError(f"gradient shape mismatch on {name}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        tensor -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2)
-                                                      + config.eps_adam)
+    state.m *= b1
+    state.m += (1.0 - b1) * grad
+    state.v *= b2
+    state.v += (1.0 - b2) * grad * grad
+    theta -= config.learning_rate * (state.m / bc1) / (np.sqrt(state.v / bc2)
+                                                       + config.eps_adam)
 
 
 def _prepare_inputs(samples: list[TimeSeriesSample], variant: str,
@@ -139,7 +133,7 @@ def train(model: network.Model, splits: DatasetSplit,
     state = AdamState.for_model(model)
     report = TrainReport()
     best_val = math.inf
-    best_tensors = None
+    best_theta = None
     stale = 0
     for epoch in range(1, config.max_epochs + 1):
         order = new_rng(config.seed * 1_000_003 + epoch).permutation(len(train_set))
@@ -151,8 +145,8 @@ def train(model: network.Model, splits: DatasetSplit,
             if not math.isfinite(loss):
                 raise DivergenceError(f"non-finite training loss at epoch {epoch}")
             epoch_loss += loss
-            grads = network.backward(model, trace, sample.y)
-            adam_step(model.named_tensors(), grads, state, config)
+            grad = network.backward(model, trace, sample.y)
+            adam_step(model.theta, grad, state, config)
         val_loss = _mean_loss(model, val_set)
         if not math.isfinite(val_loss):
             raise DivergenceError(f"non-finite validation loss at epoch {epoch}")
@@ -162,14 +156,13 @@ def train(model: network.Model, splits: DatasetSplit,
         if val_loss < best_val:
             best_val = val_loss
             report.best_epoch = epoch
-            best_tensors = {n: t.copy() for n, t in model.named_tensors().items()}
+            best_theta = model.theta.copy()
             stale = 0
         else:
             stale += 1
             if stale >= config.patience:
                 break
-    for name, tensor in model.named_tensors().items():
-        tensor[...] = best_tensors[name]
+    model.theta[...] = best_theta
     return model, report
 
 

@@ -31,6 +31,10 @@ def test_config_validation():
         ex.config_from_json({"missing_rates": [1.0]})
     with pytest.raises(ConfigError):
         ex.config_from_json({"n_seeds": 0})
+    with pytest.raises(ConfigError):
+        ex.config_from_json({"missing_rates": []})
+    with pytest.raises(ConfigError, match=r"window_len \(T\) must be >= 2"):
+        ex.config_from_json({"T": 1})
 
 
 def test_config_defaults_to_synthetic_source():
@@ -255,3 +259,78 @@ def test_cli_threads_only_on_grid_commands(tmp_path, command):
     with pytest.raises(SystemExit) as exc:
         cli.main([command, "--out", str(tmp_path), "--threads", "2"])
     assert exc.value.code == 2
+
+
+# --- fail-closed configuration and files -------------------------------------
+
+BAD_CONFIGS = [
+    ({"hiden_size": 4}, "hiden_size"),
+    ({"data": {"synth": {"n_dayz": 30}}}, "data.synth.n_dayz"),
+    ({"data": {"cvs": "x.csv"}}, "data.cvs"),
+    ({"train": {"lr": 0.01}}, "train.lr"),
+    ({"models": [{"variant": "gru", "imputaton": "last"}]},
+     "models[0].imputaton"),
+    ({"models": [{"imputation": "last"}]}, "variant"),
+    ({"models": "gru-d"}, "models"),
+    ({"n_seeds": "x"}, "n_seeds"),
+    ({"hidden_size": 4.5}, "hidden_size"),
+    ({"missing_rates": [0.5, "high"]}, "missing_rates[1]"),
+    ({"train": {"max_epochs": "many"}}, "train.max_epochs"),
+    ({"T": 1, "models": [{"variant": "gru", "imputation": "average"}],
+      "missing_rates": [0.0]}, "T"),
+]
+
+
+@pytest.mark.parametrize("doc,key", BAD_CONFIGS,
+                         ids=[key for _, key in BAD_CONFIGS])
+def test_cli_rejects_bad_config_naming_the_key(tmp_path, capsys, doc, key):
+    cfgp = write_config(tmp_path, doc)
+    assert cli.main(["train", "--config", cfgp,
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert key in err and "config.json" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
+def _missing_config(tmp_path):
+    return ["train", "--config", str(tmp_path / "absent.json")], "absent.json"
+
+
+def _malformed_config(tmp_path):
+    p = tmp_path / "broken.json"
+    p.write_text('{"n_seeds": 2,', encoding="utf-8")
+    return ["train", "--config", str(p)], "broken.json"
+
+
+def _missing_model(tmp_path):
+    return ["decay-curve", "--model", str(tmp_path / "absent-model.json"),
+            "--out", str(tmp_path)], "absent-model.json"
+
+
+def _out_is_a_file(tmp_path):
+    p = tmp_path / "taken.txt"
+    p.write_text("not a directory", encoding="utf-8")
+    return ["synth", "--out", str(p)], "taken.txt"
+
+
+@pytest.mark.parametrize("case", [_missing_config, _malformed_config,
+                                  _missing_model, _out_is_a_file],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_cli_file_errors_exit_1_naming_the_path(tmp_path, capsys, case):
+    argv, name = case(tmp_path)
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert name in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["benchmark", "--threads", "0"], ["benchmark", "--threads", "-3"],
+    ["sweep", "--threads", "0"], ["gradcheck", "--draws", "0"],
+    ["gradcheck", "--draws", "-1"]], ids=" ".join)
+def test_cli_rejects_counts_below_one_as_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err

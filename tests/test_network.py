@@ -1,3 +1,5 @@
+import copy
+import json
 import math
 
 import numpy as np
@@ -106,7 +108,7 @@ def test_backward_zero_residual_gives_zero_grads():
     sample = make_sample(rng)
     y_hat, trace = network.forward(model, sample)
     grads = network.backward(model, trace, y_hat)  # target equals prediction
-    assert all(np.allclose(g, 0.0) for g in grads.values())
+    assert all(np.allclose(g, 0.0) for g in model.unflatten(grads).values())
 
 
 def test_head_gradient_closed_form():
@@ -114,7 +116,7 @@ def test_head_gradient_closed_form():
     model = network.build_model(network.ModelSpec("gru", hidden_size=4), rng)
     sample = make_sample(rng)
     y_hat, trace = network.forward(model, sample)
-    grads = network.backward(model, trace, sample.y)
+    grads = model.unflatten(network.backward(model, trace, sample.y))
     resid = 2 * (y_hat - sample.y)
     assert np.allclose(grads["head.w"], resid * trace["h_final"], atol=1e-12)
     assert grads["head.b"][0] == pytest.approx(resid, abs=1e-12)
@@ -175,7 +177,7 @@ def test_bptt_matches_finite_differences_closely():
     model = network.build_model(spec, rng)
     sample = make_sample(rng, t_len=4)
     y_hat, trace = network.forward(model, sample)
-    grads = network.backward(model, trace, sample.y)
+    grads = model.unflatten(network.backward(model, trace, sample.y))
     eps = 1e-5
     for name, tensor in model.named_tensors().items():
         it = np.nditer(tensor, flags=["multi_index"])
@@ -198,12 +200,11 @@ def test_grud_reduction_full_sequence():
     for _ in range(10):
         gru_model = network.build_model(network.ModelSpec("gru", hidden_size=4),
                                         rng)
-        grud_model = network.build_model(
-            network.ModelSpec("gru-d", hidden_size=4), rng)
-        grud_model.layers[0] = grud_from_gru(gru_model.layers[0], 1, 4,
-                                             x_mean=np.array([0.5]))
-        grud_model.head_w = gru_model.head_w.copy()
-        grud_model.head_b = gru_model.head_b.copy()
+        grud_model = network.Model(
+            spec=network.ModelSpec("gru-d", hidden_size=4),
+            layers=[grud_from_gru(gru_model.layers[0], 1, 4,
+                                  x_mean=np.array([0.5]))],
+            head_w=gru_model.head_w.copy(), head_b=gru_model.head_b.copy())
         sample = make_sample(rng)
         yg, _ = network.forward(gru_model, sample)
         yd, _ = network.forward(grud_model, sample)
@@ -245,8 +246,110 @@ def test_load_rejects_foreign_document(tmp_path):
         network.load_model(p)
 
 
+def _saved_gru(tmp_path):
+    model = network.build_model(network.ModelSpec("gru", hidden_size=4),
+                                new_rng(20))
+    path = tmp_path / "model.json"
+    network.save_model(model, path)
+    return path, json.loads(path.read_text(encoding="utf-8"))
+
+
+def _drop_tensor(doc):
+    del doc["tensors"]["layers.0.u_z"]
+    return "missing tensor 'layers.0.u_z'"
+
+
+def _add_tensor(doc):
+    doc["tensors"]["layers.0.v_r"] = {"shape": [4, 1], "data": [0.0] * 4}
+    return "unknown tensor 'layers.0.v_r'"
+
+
+def _shrink_tensor(doc):  # a [1] tensor must not broadcast into [4]
+    doc["tensors"]["layers.0.b_r"] = {"shape": [1], "data": [0.25]}
+    return "layers.0.b_r has shape [1], the model expects [4]"
+
+
+def _short_data(doc):
+    doc["tensors"]["layers.0.w_c"]["data"].pop()
+    return "layers.0.w_c: 3 values do not fill shape [4, 1]"
+
+
+@pytest.mark.parametrize("edit", [_drop_tensor, _add_tensor, _shrink_tensor,
+                                  _short_data],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_load_rejects_tensors_that_do_not_fit_the_layout(tmp_path, edit):
+    path, doc = _saved_gru(tmp_path)
+    message = edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        network.load_model(path)
+    assert str(exc.value).startswith(f"{path}: ")
+    assert message in str(exc.value)
+
+
 def test_forward_shape_check():
     model = network.build_model(network.ModelSpec("gru", hidden_size=3,
                                                   input_dim=2), new_rng(16))
     with pytest.raises(ShapeError):
         network.forward(model, make_sample(new_rng(17)))
+
+
+# --- one parameter vector ----------------------------------------------------
+
+def assert_fields_are_views_of_theta(model):
+    """Every field the kernels read is a view into theta, at its own offset."""
+    fields = {f"layers.{i}.{name}": t for i, layer in enumerate(model.layers)
+              for name, t in layer.tensors().items()}
+    fields["head.w"] = model.head_w
+    fields["head.b"] = model.head_b
+    named = model.named_tensors()
+    assert list(fields) == list(named)
+    for name, t in fields.items():
+        assert np.shares_memory(t, model.theta), name
+        assert np.shares_memory(named[name], model.theta), name
+    saved = model.theta.copy()
+    model.theta[...] = np.arange(model.theta.size)
+    flat = np.concatenate([t.reshape(-1) for t in fields.values()])
+    assert np.array_equal(flat, np.arange(model.theta.size))
+    model.theta[...] = saved
+
+
+@pytest.mark.parametrize("variant", network.VARIANTS)
+def test_trainable_fields_are_views_of_theta(variant, tmp_path):
+    model = network.build_model(
+        network.ModelSpec(variant, hidden_size=3, recurrent_depth=2,
+                          window_len=7), new_rng(18), x_mean=np.array([0.5]))
+    assert_fields_are_views_of_theta(model)
+    network.save_model(model, tmp_path / "model.json")
+    loaded = network.load_model(tmp_path / "model.json")
+    assert_fields_are_views_of_theta(loaded)
+    assert np.array_equal(loaded.theta, model.theta)
+    twin = copy.deepcopy(model)
+    assert_fields_are_views_of_theta(twin)
+    assert not np.shares_memory(twin.theta, model.theta)
+    assert np.array_equal(twin.theta, model.theta)
+
+
+def test_kink_mask_covers_exactly_the_near_kink_decay_elements():
+    rng = new_rng(19)
+    model = network.build_model(network.ModelSpec("gru-d", hidden_size=3), rng,
+                                x_mean=np.array([0.5]))
+    p = model.layers[0]
+    p.w_decay_x[...] = 0.0  # input decay pre-activation 0: on the kink
+    p.b_decay_x[...] = 0.0
+    p.w_decay_h[...] = 0.5
+    p.b_decay_h[...] = 1.0  # hidden rows 0 and 2 stay far from the kink
+    p.w_decay_h[1] = 0.0
+    p.b_decay_h[1] = 0.0
+    _, trace = network.forward(model, make_sample(rng, missing=0.5))
+    mask = network._kink_excluded(model, trace, eps=1e-5)
+    expect = np.zeros(model.theta.size, dtype=bool)
+    views = model.unflatten(expect)
+    views["layers.0.w_decay_x"][0] = True
+    views["layers.0.b_decay_x"][0] = True
+    views["layers.0.w_decay_h"][1, :] = True
+    views["layers.0.b_decay_h"][1] = True
+    assert np.array_equal(mask, expect)
+    assert not network._kink_excluded(
+        network.build_model(network.ModelSpec("gru", hidden_size=3), rng),
+        trace, eps=1e-5).any()

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -28,41 +30,52 @@ def fresh_model(variant="gru", hidden=4, seed=0):
 
 def test_adam_zero_grads_leave_params_unchanged():
     model = fresh_model()
-    before = {n: t.copy() for n, t in model.named_tensors().items()}
+    before = model.theta.copy()
     state = AdamState.for_model(model)
-    zeros = {n: np.zeros_like(t) for n, t in model.named_tensors().items()}
-    training.adam_step(model.named_tensors(), zeros, state, TrainConfig())
-    for n, t in model.named_tensors().items():
-        assert np.array_equal(t, before[n])
+    training.adam_step(model.theta, np.zeros_like(model.theta), state,
+                       TrainConfig())
+    assert np.array_equal(model.theta, before)
     assert state.t == 1
 
 
 def test_adam_first_step_closed_form():
     # single scalar with unit gradient: bias corrections cancel at t=1
-    w = {"p": np.array([0.0])}
-    state = AdamState(m={"p": np.zeros(1)}, v={"p": np.zeros(1)})
+    theta = np.array([0.0])
+    state = AdamState(m=np.zeros(1), v=np.zeros(1))
     cfg = TrainConfig(learning_rate=1e-3)
-    training.adam_step(w, {"p": np.array([1.0])}, state, cfg)
-    assert w["p"][0] == pytest.approx(-1e-3, rel=1e-6)
+    training.adam_step(theta, np.array([1.0]), state, cfg)
+    assert theta[0] == pytest.approx(-1e-3, rel=1e-6)
 
 
 def test_adam_deterministic():
     results = []
     for _ in range(2):
-        w = {"p": np.array([0.3, -0.2])}
-        state = AdamState(m={"p": np.zeros(2)}, v={"p": np.zeros(2)})
-        g = {"p": np.array([0.5, -1.0])}
+        theta = np.array([0.3, -0.2])
+        state = AdamState(m=np.zeros(2), v=np.zeros(2))
+        g = np.array([0.5, -1.0])
         for _ in range(5):
-            training.adam_step(w, g, state, TrainConfig())
-        results.append(w["p"].copy())
+            training.adam_step(theta, g, state, TrainConfig())
+        results.append(theta.copy())
     assert np.array_equal(results[0], results[1])
 
 
 def test_adam_shape_mismatch():
-    w = {"p": np.zeros(2)}
-    state = AdamState(m={"p": np.zeros(2)}, v={"p": np.zeros(2)})
+    theta = np.zeros(2)
+    state = AdamState(m=np.zeros(2), v=np.zeros(2))
     with pytest.raises(ConfigError):
-        training.adam_step(w, {"p": np.zeros(3)}, state, TrainConfig())
+        training.adam_step(theta, np.zeros(3), state, TrainConfig())
+
+
+def test_adam_on_a_deepcopy_leaves_the_original_unchanged():
+    model = fresh_model(variant="gru-d")
+    before = model.theta.copy()
+    twin = copy.deepcopy(model)
+    state = AdamState.for_model(twin)
+    training.adam_step(twin.theta, np.ones_like(twin.theta), state,
+                       TrainConfig())
+    assert np.array_equal(model.theta, before)
+    assert not np.array_equal(twin.theta, before)
+    assert np.array_equal(twin.named_tensors()["head.b"], twin.head_b)
 
 
 def test_train_config_validation():
