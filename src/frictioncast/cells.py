@@ -9,6 +9,12 @@ gate. Every forward step returns a write-once cache holding exactly the
 intermediates the matching backward step needs; backward passes are exact
 reverse-mode, gradient-checked against finite differences.
 
+The recurrent backward steps do only what the recurrence needs: they return
+the gate pre-activation gradients, not weight gradients. A weight's gradient
+at a step is the outer product of a gate gradient and an operand the forward
+step cached; the caller forms those once per window (`network.backward`),
+and `grud_decay_backward` runs the decay path over a whole window.
+
 Conventions: x is the input vector [D], h the hidden state [H]. The decay
 rate is exp(-max(0, w·delta + b)), so it lives in (0, 1] and its gradient is
 zero wherever the rectifier is inactive (subgradient 0 at the kink).
@@ -111,8 +117,9 @@ def _gates(p: GruParams, x: np.ndarray, h_prev: np.ndarray, extra=None):
     if extra is not None:
         a_r += extra[0]
         a_z += extra[1]
-    r = sigmoid(a_r + p.b_r)
-    z = sigmoid(a_z + p.b_z)
+    h_dim = h_prev.shape[0]
+    rz = sigmoid(np.concatenate((a_r + p.b_r, a_z + p.b_z)))
+    r, z = rz[:h_dim], rz[h_dim:]
     a_c = p.w_c @ x + p.u_c @ (r * h_prev)
     if extra is not None:
         a_c += extra[2]
@@ -121,9 +128,9 @@ def _gates(p: GruParams, x: np.ndarray, h_prev: np.ndarray, extra=None):
     return h, r, z, c
 
 
-def _gates_backward(p: GruParams, x, h_prev, cache: dict, dh):
-    """Backward of `_gates` on input `x` and state `h_prev`; the bias grads
-    b_r, b_z, b_c are the gate pre-activation grads."""
+def _gates_backward(p: GruParams, h_prev, cache: dict, dh, input_grad: bool):
+    """Backward of `_gates` at state `h_prev`: the gate pre-activation grads
+    {r, z, c}, the state grad and the input grad (None unless `input_grad`)."""
     r, z, c = cache["r"], cache["z"], cache["c"]
     dz = dh * (c - h_prev)
     dc = dh * z
@@ -136,13 +143,11 @@ def _gates_backward(p: GruParams, x, h_prev, cache: dict, dh):
 
     da_r = dr * r * (1.0 - r)
     da_z = dz * z * (1.0 - z)
-    g = {"w_r": np.outer(da_r, x), "u_r": np.outer(da_r, h_prev), "b_r": da_r,
-         "w_z": np.outer(da_z, x), "u_z": np.outer(da_z, h_prev), "b_z": da_z,
-         "w_c": np.outer(da_c, x), "u_c": np.outer(da_c, r * h_prev),
-         "b_c": da_c}
     dh_prev = dh_prev + p.u_r.T @ da_r + p.u_z.T @ da_z
-    dx = p.w_c.T @ da_c + p.w_r.T @ da_r + p.w_z.T @ da_z
-    return g, dh_prev, dx
+    dx = None
+    if input_grad:
+        dx = p.w_c.T @ da_c + p.w_r.T @ da_r + p.w_z.T @ da_z
+    return {"r": da_r, "z": da_z, "c": da_c}, dh_prev, dx
 
 
 # --- plain gated recurrent cell ---------------------------------------------
@@ -156,8 +161,12 @@ def gru_step(p: GruParams, x: np.ndarray, h_prev: np.ndarray):
     return h, cache
 
 
-def gru_step_backward(p: GruParams, cache: dict, dh: np.ndarray):
-    return _gates_backward(p, cache["x"], cache["h_prev"], cache, dh)
+def gru_step_backward(p: GruParams, cache: dict, dh: np.ndarray,
+                      input_grad: bool = True):
+    """(gate pre-activation grads {r, z, c}, dh_prev, dx); the weight grads
+    are the outer products of those with the step's x, h_prev and r*h_prev,
+    formed once per window by the caller. `dx` is None unless `input_grad`."""
+    return _gates_backward(p, cache["h_prev"], cache, dh, input_grad)
 
 
 # --- decay-mechanism cell ----------------------------------------------------
@@ -196,24 +205,32 @@ def grud_step(p: GrudParams, x: np.ndarray, m: np.ndarray, delta: np.ndarray,
 
 
 def grud_step_backward(p: GrudParams, cache: dict, dh: np.ndarray):
-    m, delta, gamma_h = cache["m"], cache["delta"], cache["gamma_h"]
-    g, dh_hat, dx_hat = _gates_backward(p, cache["x_hat"], cache["h_hat"],
-                                        cache, dh)
-    for gate in "rzc":  # mask weights: the extra term V·m of each gate
-        g[f"v_{gate}"] = np.outer(g[f"b_{gate}"], m)
+    """(gate pre-activation grads {r, z, c}, dh_prev, dh_hat, dx_hat): the
+    gate grads act on x_hat, h_hat and the mask m; `dh_hat` and `dx_hat`, the
+    grads at the decayed state and input, feed `grud_decay_backward`."""
+    gates, dh_hat, dx_hat = _gates_backward(p, cache["h_hat"], cache, dh, True)
+    return gates, dh_hat * cache["gamma_h"], dh_hat, dx_hat
 
+
+def stack_steps(caches: list[dict], key: str) -> np.ndarray:
+    """One cached quantity over a window of steps' caches, [T, ·]."""
+    return np.array([cache[key] for cache in caches])
+
+
+def grud_decay_backward(p: GrudParams, caches: list[dict], dh_hat: np.ndarray,
+                        dx_hat: np.ndarray):
+    """Grads at the decay pre-activations over a window of decay-cell steps:
+    (da_x [T, D], da_h [T, H]) from the steps' caches and their `dh_hat`
+    [T, H] and `dx_hat` [T, D]; zero where the rectifier is off."""
+    pre_h, gamma_h, h_prev, m, x_last, pre_x, gamma_x = (
+        stack_steps(caches, key) for key in
+        ("pre_h", "gamma_h", "h_prev", "m", "x_last", "pre_x", "gamma_x"))
     # hidden decay path: h_hat = gamma_h * h_prev
-    da_h = _decay_backward(cache["pre_h"], gamma_h, dh_hat * cache["h_prev"])
-    g["w_decay_h"] = np.outer(da_h, delta)
-    g["b_decay_h"] = da_h
-
+    da_h = _decay_backward(pre_h, gamma_h, dh_hat * h_prev)
     # input decay path: x_hat mixes x_last and the frozen mean on missing slots
-    dgamma_x = dx_hat * (1.0 - m) * (cache["x_last"] - p.x_mean)
-    da_x = _decay_backward(cache["pre_x"], cache["gamma_x"], dgamma_x)
-    g["w_decay_x"] = da_x * delta
-    g["b_decay_x"] = da_x
-
-    return g, dh_hat * gamma_h, dx_hat * m
+    dgamma_x = dx_hat * (1.0 - m) * (x_last - p.x_mean)
+    da_x = _decay_backward(pre_x, gamma_x, dgamma_x)
+    return da_x, da_h
 
 
 # --- LSTM baseline -----------------------------------------------------------
@@ -224,9 +241,10 @@ def lstm_step(p: LstmParams, x: np.ndarray, h_prev: np.ndarray,
     _check("x", x, (d,))
     _check("h_prev", h_prev, (h_dim,))
     _check("c_prev", c_prev, (h_dim,))
-    f = sigmoid(p.w_f @ x + p.u_f @ h_prev + p.b_f)
-    i = sigmoid(p.w_i @ x + p.u_i @ h_prev + p.b_i)
-    o = sigmoid(p.w_o @ x + p.u_o @ h_prev + p.b_o)
+    fio = sigmoid(np.concatenate((p.w_f @ x + p.u_f @ h_prev + p.b_f,
+                                  p.w_i @ x + p.u_i @ h_prev + p.b_i,
+                                  p.w_o @ x + p.u_o @ h_prev + p.b_o)))
+    f, i, o = fio[:h_dim], fio[h_dim:2 * h_dim], fio[2 * h_dim:]
     gc = np.tanh(p.w_g @ x + p.u_g @ h_prev + p.b_g)
     c = f * c_prev + i * gc
     tc = np.tanh(c)
@@ -237,8 +255,11 @@ def lstm_step(p: LstmParams, x: np.ndarray, h_prev: np.ndarray,
 
 
 def lstm_step_backward(p: LstmParams, cache: dict, dh: np.ndarray,
-                       dc_in: np.ndarray):
-    x, h_prev, c_prev = cache["x"], cache["h_prev"], cache["c_prev"]
+                       dc_in: np.ndarray, input_grad: bool = True):
+    """(gate pre-activation grads {f, i, o, g}, dh_prev, dc_prev, dx); the
+    weight grads are their outer products with the step's x and h_prev. `dx`
+    is None unless `input_grad`."""
+    c_prev = cache["c_prev"]
     f, i, o, gc, tc = cache["f"], cache["i"], cache["o"], cache["gc"], cache["tc"]
 
     do = dh * tc
@@ -248,21 +269,18 @@ def lstm_step_backward(p: LstmParams, cache: dict, dh: np.ndarray,
     dgc = dc * i
     dc_prev = dc * f
 
-    da = {
-        "f": df * f * (1.0 - f),
-        "i": di * i * (1.0 - i),
-        "o": do * o * (1.0 - o),
-        "g": dgc * (1.0 - gc * gc),
-    }
-    g = {}
-    dh_prev = dx = 0.0
-    for gate, d_pre in da.items():
-        g[f"w_{gate}"] = np.outer(d_pre, x)
-        g[f"u_{gate}"] = np.outer(d_pre, h_prev)
-        g[f"b_{gate}"] = d_pre
-        dh_prev = dh_prev + getattr(p, f"u_{gate}").T @ d_pre
-        dx = dx + getattr(p, f"w_{gate}").T @ d_pre
-    return g, dh_prev, dc_prev, dx
+    da_f = df * f * (1.0 - f)
+    da_i = di * i * (1.0 - i)
+    da_o = do * o * (1.0 - o)
+    da_g = dgc * (1.0 - gc * gc)
+    # each sum starts from 0.0, which turns an all -0.0 result into +0.0
+    dh_prev = (0.0 + p.u_f.T @ da_f + p.u_i.T @ da_i + p.u_o.T @ da_o
+               + p.u_g.T @ da_g)
+    dx = None
+    if input_grad:
+        dx = (0.0 + p.w_f.T @ da_f + p.w_i.T @ da_i + p.w_o.T @ da_o
+              + p.w_g.T @ da_g)
+    return {"f": da_f, "i": da_i, "o": da_o, "g": da_g}, dh_prev, dc_prev, dx
 
 
 # --- dense layer (feed-forward baseline) -------------------------------------

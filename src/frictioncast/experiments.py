@@ -119,11 +119,18 @@ def _model_entry(value, where: str) -> ModelEntry:
     entry = _object(value, where, ("variant", "imputation"))
     if "variant" not in entry:
         raise ConfigError(f"{where}: missing key 'variant'")
+    variant = _checked(entry["variant"], str, f"{where}.variant")
+    if variant not in network.VARIANTS:
+        raise ConfigError(f"{where}.variant: unknown variant {variant!r}; "
+                          f"one of {', '.join(network.VARIANTS)}")
     imputation = entry.get("imputation")
-    return ModelEntry(
-        _checked(entry["variant"], str, f"{where}.variant"),
-        None if imputation is None
-        else _checked(imputation, str, f"{where}.imputation"))
+    if imputation is not None:
+        _checked(imputation, str, f"{where}.imputation")
+        if imputation not in training.IMPUTATIONS:
+            raise ConfigError(f"{where}.imputation: unknown imputation "
+                              f"{imputation!r}; one of "
+                              f"{', '.join(training.IMPUTATIONS)}")
+    return ModelEntry(variant, imputation)
 
 
 def config_from_json(doc: dict, seed: int | None = None) -> ExperimentConfig:

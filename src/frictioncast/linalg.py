@@ -16,10 +16,6 @@ def new_rng(seed: int) -> np.random.Generator:
 
 
 def sigmoid(v: np.ndarray) -> np.ndarray:
-    # Split by sign to avoid overflow in exp for large |v|.
-    out = np.empty_like(v, dtype=np.float64)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    # exp of -|v| never overflows; for v < 0 the ratio is e^v / (1 + e^v)
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)

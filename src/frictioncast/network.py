@@ -11,6 +11,7 @@ central finite differences.
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -68,6 +69,10 @@ class Model:
             layout.append((path, start, start + t.size, t.shape))
             start += t.size
         self._layout = tuple(layout)  # (path, start, stop, shape), fixed
+        # each layer's tensors are one contiguous block of theta
+        bounds = [0, *itertools.accumulate(
+            sum(t.size for t in layer.tensors().values()) for layer in self.layers)]
+        self._layer_spans = tuple(zip(bounds, bounds[1:]))
         self.theta = np.empty(start)
         views = self.named_tensors()
         for path, owner, attr in slots:
@@ -165,10 +170,10 @@ def forward(model: Model, sample: TimeSeriesSample):
         if spec.variant == "gru-d":
             x_last = model.layers[0].x_mean.copy()
         caches = [[] for _ in model.layers]
+        kinds = [_layer_kind(spec, li) for li in range(len(model.layers))]
         for t in range(t_len):
             inp = sample.x[t]
-            for li, layer in enumerate(model.layers):
-                kind = _layer_kind(spec, li)
+            for li, (layer, kind) in enumerate(zip(model.layers, kinds)):
                 if kind == "gru":
                     h_states[li], cache = cells.gru_step(layer, inp, h_states[li])
                 elif kind == "gru-d":
@@ -195,17 +200,68 @@ def loss_mse(y_hat: float, y: float) -> float:
     return (y_hat - y) ** 2
 
 
+# Each recurrent weight's gradient at one step is the outer product of a gate
+# factor (a gate pre-activation grad, or a decay one) and an operand the
+# forward step cached: (factor, operand) by tensor name. A bias (operand None)
+# is the factor itself; a 1-D weight (the diagonal input decay) takes the
+# elementwise product.
+_ROW_TERMS = {
+    "w_r": ("r", "x"), "u_r": ("r", "h"), "b_r": ("r", None),
+    "w_z": ("z", "x"), "u_z": ("z", "h"), "b_z": ("z", None),
+    "w_c": ("c", "x"), "u_c": ("c", "rh"), "b_c": ("c", None),
+    "v_r": ("r", "m"), "v_z": ("z", "m"), "v_c": ("c", "m"),
+    "w_decay_x": ("decay_x", "delta"), "b_decay_x": ("decay_x", None),
+    "w_decay_h": ("decay_h", "delta"), "b_decay_h": ("decay_h", None),
+    **{f"{w}_{gate}": (gate, op) for gate in "fiog"
+       for w, op in (("w", "x"), ("u", "h"), ("b", None))},
+}
+
+
+def _weight_rows(kind: str, layer, caches: list[dict], outs: list) -> np.ndarray:
+    """Per-step weight-gradient rows [T, n] of one recurrent layer, in the
+    layer's theta order, from its steps' forward caches and what its backward
+    step kernel returned at each step (`outs`, both in time order)."""
+    factors = {gate: np.array([out[0][gate] for out in outs])
+               for gate in outs[0][0]}
+    x_key, h_key = ("x_hat", "h_hat") if kind == "gru-d" else ("x", "h_prev")
+    ops = {"x": cells.stack_steps(caches, x_key),
+           "h": cells.stack_steps(caches, h_key)}
+    if kind != "lstm":
+        ops["rh"] = cells.stack_steps(caches, "r") * ops["h"]
+    if kind == "gru-d":
+        ops["m"] = cells.stack_steps(caches, "m")
+        ops["delta"] = cells.stack_steps(caches, "delta")
+        factors["decay_x"], factors["decay_h"] = cells.grud_decay_backward(
+            layer, caches, np.array([out[2] for out in outs]),
+            np.array([out[3] for out in outs]))
+    cols = []
+    for name, tensor in layer.tensors().items():
+        factor, op = _ROW_TERMS[name]
+        f = factors[factor]
+        if op is None:
+            cols.append(f)
+        elif tensor.ndim == 1:
+            cols.append(f * ops[op])
+        else:
+            cols.append((f[:, :, None] * ops[op][:, None, :]).reshape(len(f), -1))
+    return np.concatenate(cols, axis=1)
+
+
 def backward(model: Model, trace: dict, y: float) -> np.ndarray:
-    """Exact gradient of (y_hat - y)^2 w.r.t. theta, in theta's layout."""
+    """Exact gradient of (y_hat - y)^2 w.r.t. theta, in theta's layout.
+
+    The time loop runs only the recurrence; each recurrent layer's weight
+    gradients are formed after it as per-step rows (`_weight_rows`)."""
     spec = model.spec
     grad = np.zeros_like(model.theta)
-    grads = model.unflatten(grad)
     dy = 2.0 * (trace["y_hat"] - y)
-    grads["head.w"] += dy * trace["h_final"]
-    grads["head.b"] += np.array([dy])
+    head = grad[model._layer_spans[-1][1]:]  # head.w, then head.b
+    head[:-1] += dy * trace["h_final"]
+    head[-1:] += dy
     dh_final = dy * model.head_w
 
     if spec.variant == "ffnn":
+        grads = model.unflatten(grad)
         dv = dh_final
         for li in range(len(model.layers) - 1, -1, -1):
             g, dv = cells.dense_step_backward(model.layers[li],
@@ -216,29 +272,38 @@ def backward(model: Model, trace: dict, y: float) -> np.ndarray:
 
     n_layers = len(model.layers)
     t_len = len(trace["caches"][0])
+    kinds = [_layer_kind(spec, li) for li in range(n_layers)]
+    outs = [[None] * t_len for _ in range(n_layers)]  # each step's return
     dh = [np.zeros(spec.hidden_size) for _ in range(n_layers)]
     dc = [np.zeros(spec.hidden_size) for _ in range(n_layers)]
     dh[-1] = dh_final.copy()
     for t in range(t_len - 1, -1, -1):
         dx_above = None
         for li in range(n_layers - 1, -1, -1):
-            kind = _layer_kind(spec, li)
             d_out = dh[li] + (dx_above if dx_above is not None else 0.0)
             cache = trace["caches"][li][t]
-            if kind == "lstm":
-                g, dh_prev, dc_prev, dx = cells.lstm_step_backward(
-                    model.layers[li], cache, d_out, dc[li])
-                dc[li] = dc_prev
-            elif kind == "gru-d":
-                g, dh_prev, dx = cells.grud_step_backward(
-                    model.layers[li], cache, d_out)
+            layer = model.layers[li]
+            # the bottom layer's input gradient feeds nothing
+            if kinds[li] == "lstm":
+                out = cells.lstm_step_backward(layer, cache, d_out, dc[li],
+                                               input_grad=li > 0)
+                _, dh[li], dc[li], dx_above = out
+            elif kinds[li] == "gru-d":
+                out = cells.grud_step_backward(layer, cache, d_out)
+                dh[li] = out[1]
             else:
-                g, dh_prev, dx = cells.gru_step_backward(
-                    model.layers[li], cache, d_out)
-            for name, val in g.items():
-                grads[f"layers.{li}.{name}"] += val
-            dh[li] = dh_prev
-            dx_above = dx
+                out = cells.gru_step_backward(layer, cache, d_out,
+                                              input_grad=li > 0)
+                _, dh[li], dx_above = out
+            outs[li][t] = out
+    for li, (start, stop) in enumerate(model._layer_spans):
+        rows = _weight_rows(kinds[li], model.layers[li], trace["caches"][li],
+                            outs[li])
+        # one row at a time in reverse time order, the order of the step
+        # loop: rows.sum(0) or a matmul would round differently
+        block = grad[start:stop]
+        for t in range(t_len - 1, -1, -1):
+            block += rows[t]
     return grad
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from frictioncast import cells
+from frictioncast import cells, network
 from frictioncast.errors import ShapeError
 from frictioncast.linalg import new_rng
 
@@ -172,10 +172,16 @@ def test_grud_backward_reduces_to_gru():
         _, cg = cells.gru_step(gru, x, h_prev)
         _, cd = cells.grud_step(grud, x, np.ones(1), rng.random(1),
                                 rng.random(1), h_prev)
-        gg, dh_g, dx_g = cells.gru_step_backward(gru, cg, dh)
-        gd, dh_d, dx_d = cells.grud_step_backward(grud, cd, dh)
-        assert all(np.array_equal(gg[k], gd[k]) for k in gru.tensors())
-        assert np.array_equal(dh_g, dh_d) and np.array_equal(dx_g, dx_d)
+        out_g = cells.gru_step_backward(gru, cg, dh)
+        out_d = cells.grud_step_backward(grud, cd, dh)
+        gates_g, dh_g, dx_g = out_g
+        gates_d, dh_d, _, dx_hat = out_d
+        assert all(np.array_equal(gates_g[k], gates_d[k]) for k in "rzc")
+        wg = step_weight_grads("gru", gru, cg, out_g)
+        wd = step_weight_grads("gru-d", grud, cd, out_d)
+        assert all(np.array_equal(wg[k], wd[k]) for k in gru.tensors())
+        # with m = 1 the input grad is the one at the decayed input
+        assert np.array_equal(dh_g, dh_d) and np.array_equal(dx_g, dx_hat)
 
 
 def test_grud_missing_with_unit_decay_uses_last_observation():
@@ -328,6 +334,19 @@ def numeric_step_grads(step_fn, params, eps=1e-5):
     return out
 
 
+def step_weight_grads(kind, p, cache, out):
+    """One step's weight grads by tensor name, read through the per-window
+    gradient rows of a T=1 window; `out` is what the step's backward kernel
+    returned."""
+    row = network._weight_rows(kind, p, [cache], [out])[0]
+    grads, start = {}, 0
+    for name, t in p.tensors().items():
+        grads[name] = row[start:start + t.size].reshape(t.shape)
+        start += t.size
+    assert start == row.size
+    return grads
+
+
 def assert_grads_close(analytic, numeric, tol=1e-6, skip=()):
     for name, a in analytic.items():
         if name in skip:
@@ -343,7 +362,9 @@ def test_gru_backward_matches_finite_differences():
     p = cells.init_gru(1, 3, rng)
     x, h_prev = rng.standard_normal(1), rng.standard_normal(3)
     _, cache = cells.gru_step(p, x, h_prev)
-    g, dh_prev, dx = cells.gru_step_backward(p, cache, np.ones(3))
+    out = cells.gru_step_backward(p, cache, np.ones(3))
+    _, dh_prev, dx = out
+    g = step_weight_grads("gru", p, cache, out)
     assert_grads_close(g, numeric_step_grads(lambda: cells.gru_step(p, x, h_prev)[0], p))
     # carried-state and input gradients against finite differences
     eps = 1e-5
@@ -370,7 +391,8 @@ def test_grud_backward_matches_finite_differences():
     x, delta, x_last = np.array([np.nan]), np.array([2.0]), np.array([0.8])
     h_prev = rng.standard_normal(3)
     _, cache = cells.grud_step(p, x, m, delta, x_last, h_prev)
-    g, dh_prev, _ = cells.grud_step_backward(p, cache, np.ones(3))
+    out = cells.grud_step_backward(p, cache, np.ones(3))
+    g = step_weight_grads("gru-d", p, cache, out)
     numeric = numeric_step_grads(
         lambda: cells.grud_step(p, x, m, delta, x_last, h_prev)[0], p)
     assert_grads_close(g, numeric)
@@ -386,7 +408,8 @@ def test_grud_backward_dead_rectifier_gives_zero_decay_grads():
     _, cache = cells.grud_step(p, np.array([np.nan]), np.zeros(1),
                                np.array([2.0]), np.array([0.8]),
                                rng.standard_normal(3))
-    g, _, _ = cells.grud_step_backward(p, cache, np.ones(3))
+    out = cells.grud_step_backward(p, cache, np.ones(3))
+    g = step_weight_grads("gru-d", p, cache, out)
     for name in ("w_decay_x", "b_decay_x", "w_decay_h", "b_decay_h"):
         assert np.all(g[name] == 0.0)
 
@@ -397,7 +420,8 @@ def test_lstm_backward_matches_finite_differences():
     x = rng.standard_normal(1)
     h_prev, c_prev = rng.standard_normal(3), rng.standard_normal(3)
     _, _, cache = cells.lstm_step(p, x, h_prev, c_prev)
-    g, _, _, _ = cells.lstm_step_backward(p, cache, np.ones(3), np.zeros(3))
+    out = cells.lstm_step_backward(p, cache, np.ones(3), np.zeros(3))
+    g = step_weight_grads("lstm", p, cache, out)
     numeric = numeric_step_grads(
         lambda: cells.lstm_step(p, x, h_prev, c_prev)[0], p)
     assert_grads_close(g, numeric)

@@ -271,6 +271,8 @@ BAD_CONFIGS = [
     ({"models": [{"variant": "gru", "imputaton": "last"}]},
      "models[0].imputaton"),
     ({"models": [{"imputation": "last"}]}, "variant"),
+    ({"models": [{"variant": "gru", "imputation": ["last"]}]},
+     "models[0].imputation"),
     ({"models": "gru-d"}, "models"),
     ({"n_seeds": "x"}, "n_seeds"),
     ({"hidden_size": 4.5}, "hidden_size"),
@@ -291,6 +293,27 @@ def test_cli_rejects_bad_config_naming_the_key(tmp_path, capsys, doc, key):
     assert key in err and "config.json" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "model.json").exists()
+
+
+def test_cli_rejects_unknown_model_names_before_training(tmp_path, capsys,
+                                                         monkeypatch):
+    # a bad second entry used to fail only when its first job ran, after the
+    # first entry's jobs had trained, with a message naming no file or key
+    trained = []
+    monkeypatch.setattr(ex.training, "train",
+                        lambda *a, **k: trained.append(a) or None)
+    for entry, key in (({"variant": "gru", "imputation": "lats"},
+                        "models[1].imputation"),
+                       ({"variant": "gur"}, "models[1].variant")):
+        doc = dict(TINY, models=[{"variant": "gru-d"}, entry])
+        cfgp = write_config(tmp_path, doc)
+        assert cli.main(["benchmark", "--config", cfgp,
+                         "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert key in err and "config.json" in err
+        assert "Traceback" not in err
+    assert trained == []
+    assert not (tmp_path / "out" / "results.csv").exists()
 
 
 def _missing_config(tmp_path):

@@ -51,15 +51,31 @@ def last_observation_oracle(s, m):
     return delta
 
 
+def irregular_timestamps(gaps):
+    return np.concatenate([[0.0], np.cumsum(gaps)])
+
+
+def draw_mask(data, t_len, d):
+    """A [T, D] mask: random, or (one draw in three) every entry missing."""
+    if data.draw(st.integers(0, 2)) == 0:
+        return np.zeros((t_len, d))
+    cells = data.draw(st.lists(st.integers(0, 1), min_size=t_len * d,
+                               max_size=t_len * d))
+    return np.array(cells, dtype=float).reshape(t_len, d)
+
+
 @settings(max_examples=300)
-@given(st.lists(st.floats(0.1, 5.0), min_size=2, max_size=20),
-       st.data())
-def test_intervals_match_last_observation_oracle(gaps, data):
-    s = np.concatenate([[0.0], np.cumsum(gaps)])
-    m = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(s),
-                                    max_size=len(s))), dtype=float)
-    got = mi.compute_intervals(s, m[:, None])[:, 0]
-    assert np.allclose(got, last_observation_oracle(s, m), atol=1e-9)
+@given(st.lists(st.floats(0.1, 5.0), min_size=1, max_size=20),
+       st.integers(1, 3), st.data())
+def test_intervals_match_last_observation_oracle(gaps, d, data):
+    s = irregular_timestamps(gaps)
+    m = draw_mask(data, len(s), d)
+    got = mi.compute_intervals(s, m)
+    for j in range(d):
+        assert np.allclose(got[:, j], last_observation_oracle(s, m[:, j]),
+                           atol=1e-9)
+    if not m.any():  # nothing observed: the time since the window's start
+        assert np.allclose(got, (s - s[0])[:, None], atol=1e-9)
 
 
 def test_empirical_mean():
@@ -169,3 +185,28 @@ def test_impute_simple_stays_between_anchors():
                 lo = min(last[t, 0], stats.mean[0])
                 hi = max(last[t, 0], stats.mean[0])
                 assert lo - 1e-12 <= out[t, 0] <= hi + 1e-12
+
+
+@settings(max_examples=200)
+@given(st.lists(st.floats(0.1, 5.0), min_size=1, max_size=15),
+       st.integers(1, 3), st.data())
+def test_imputers_on_irregular_windows(gaps, d, data):
+    # observed entries stay as they are; every missing one is filled with a
+    # finite value, also when nothing in the window is observed
+    s = irregular_timestamps(gaps)
+    m = draw_mask(data, len(s), d)
+    values = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=m.size,
+                                max_size=m.size))
+    x = np.where(m > 0.5, np.array(values).reshape(m.shape), np.nan)
+    view = mi.MaskedView(x=x, m=m, s=s, delta=mi.compute_intervals(s, m))
+    stats = mi.TrainStats(
+        mean=np.array(data.draw(st.lists(st.floats(-10.0, 10.0),
+                                         min_size=d, max_size=d))),
+        max_interval=np.array(data.draw(st.lists(st.floats(0.1, 50.0),
+                                                 min_size=d, max_size=d))))
+    obs = m > 0.5
+    for impute in (mi.impute_average, mi.impute_last, mi.impute_simple):
+        out = impute(view, stats)
+        assert out.shape == x.shape
+        assert np.array_equal(out[obs], x[obs])
+        assert np.all(np.isfinite(out))

@@ -194,6 +194,70 @@ def test_bptt_matches_finite_differences_closely():
             assert abs(a - num) / max(abs(a), abs(num), 1e-8) < 1e-6
 
 
+def per_step_reference(kind, layer, caches, outs):
+    """Each tensor's gradient as a reverse-time `+=` of per-step
+    `np.outer(factor, operand)` terms on the factors the step kernels returned
+    (`outs`, in time order): the association the window rows must keep."""
+    ref = {name: np.zeros_like(t) for name, t in layer.tensors().items()}
+    for t in range(len(caches) - 1, -1, -1):
+        c, gates = caches[t], outs[t][0]
+        x, h = (c["x_hat"], c["h_hat"]) if kind == "gru-d" else (c["x"], c["h_prev"])
+        terms = {}
+        for g, f in gates.items():
+            terms[f"w_{g}"] = np.outer(f, x)
+            terms[f"u_{g}"] = np.outer(f, c["r"] * h if g == "c" else h)
+            terms[f"b_{g}"] = f
+        if kind == "gru-d":
+            _, _, dh_hat, dx_hat = outs[t]
+            for g in "rzc":
+                terms[f"v_{g}"] = np.outer(gates[g], c["m"])
+            da_h = np.where(c["pre_h"] > 0.0,
+                            -c["gamma_h"] * (dh_hat * c["h_prev"]), 0.0)
+            dgamma_x = dx_hat * (1.0 - c["m"]) * (c["x_last"] - layer.x_mean)
+            da_x = np.where(c["pre_x"] > 0.0, -c["gamma_x"] * dgamma_x, 0.0)
+            terms.update(w_decay_h=np.outer(da_h, c["delta"]), b_decay_h=da_h,
+                         w_decay_x=da_x * c["delta"], b_decay_x=da_x)
+        for name, val in terms.items():
+            ref[name] += val
+    return ref
+
+
+@pytest.mark.parametrize("variant,depth", [("gru", 2), ("gru-d", 1),
+                                           ("gru-d", 2), ("lstm", 2)])
+def test_window_weight_grads_keep_the_per_step_association(variant, depth,
+                                                           monkeypatch):
+    # H = 5 is not a multiple of 4, where BLAS and numpy reductions reorder
+    rng = new_rng(41)
+    model = network.build_model(
+        network.ModelSpec(variant, hidden_size=5, recurrent_depth=depth), rng,
+        x_mean=np.array([0.5]))
+    for t in model.named_tensors().values():
+        t[...] = rng.standard_normal(t.shape)
+    if variant == "gru-d":  # mostly active rectifiers, so decay grads flow
+        layer = model.layers[0]
+        layer.w_decay_x[...] = np.abs(layer.w_decay_x)
+        layer.w_decay_h[...] = np.abs(layer.w_decay_h)
+    sample = make_sample(rng, missing=0.5 if variant == "gru-d" else 0.0)
+
+    outs = {}  # each step kernel's return, by the id of the cache it read
+    for name in ("gru_step_backward", "grud_step_backward",
+                 "lstm_step_backward"):
+        def record(p, cache, *args, _kernel=getattr(cells, name), **kw):
+            outs[id(cache)] = _kernel(p, cache, *args, **kw)
+            return outs[id(cache)]
+        monkeypatch.setattr(cells, name, record)
+    _, trace = network.forward(model, sample)
+    grads = model.unflatten(network.backward(model, trace, sample.y))
+    for li, layer in enumerate(model.layers):
+        caches = trace["caches"][li]
+        ref = per_step_reference(network._layer_kind(model.spec, li), layer,
+                                 caches, [outs[id(c)] for c in caches])
+        for name, want in ref.items():
+            got = grads[f"layers.{li}.{name}"]
+            assert np.array_equal(got, want), f"layers.{li}.{name}"
+            assert np.any(got != 0.0), f"layers.{li}.{name} is all zero"
+
+
 def test_grud_reduction_full_sequence():
     from test_cells import grud_from_gru
     rng = new_rng(13)
