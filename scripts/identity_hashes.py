@@ -10,6 +10,11 @@ compare two source trees on one machine rather than against fixed values:
 
     python3 scripts/identity_hashes.py                  # this checkout's src/
     python3 scripts/identity_hashes.py --src OTHER/src  # another checkout
+    python3 scripts/identity_hashes.py --against OTHER/src
+
+With `--against`, the recipe runs on both trees, both hash columns are
+printed (`--src` first), and the exit code is 1 if any output differs, with
+each differing output named on stderr.
 """
 
 from __future__ import annotations
@@ -85,10 +90,22 @@ def main() -> int:
     parser.add_argument("--src", type=Path,
                         default=Path(__file__).resolve().parent.parent / "src",
                         help="directory holding the frictioncast package")
+    parser.add_argument("--against", type=Path, default=None,
+                        help="a second package directory to compare with")
     args = parser.parse_args()
-    for name, digest in identity_hashes(args.src.resolve()).items():
-        print(f"{digest}  {name}")
-    return 0
+    ours = identity_hashes(args.src.resolve())
+    if args.against is None:
+        for name, digest in ours.items():
+            print(f"{digest}  {name}")
+        return 0
+    theirs = identity_hashes(args.against.resolve())
+    print(f"{'--src ' + str(args.src):<64}  --against {args.against}")
+    for name, digest in ours.items():
+        print(f"{digest}  {theirs[name]}  {name}")
+    differ = [name for name, digest in ours.items() if theirs[name] != digest]
+    for name in differ:
+        print(f"differs: {name}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -68,13 +68,16 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_config(args)
-    if config.csv_path and (n := len(timeseries.ingest_csv(config.csv_path))) > 1:
+    series = experiments.csv_series(config)
+    if series is not None and len(series) > 1:
         raise ConfigError(f"{config.csv_path}: train fits one segment, the file "
-                          f"has {n} segments; benchmark averages over them")
+                          f"has {len(series)} segments; benchmark averages "
+                          f"over them")
     out = _out_dir(args)
     entry = config.models[0]
     rate = config.missing_rates[0]
-    row, report, model = experiments.run_single(config, entry, rate, seed=0)
+    row, report, model = experiments.run_single(config, entry, rate, seed=0,
+                                                series=series)
     experiments.write_results_csv(experiments.ResultsTable([row]),
                                   out / "results.csv")
     experiments.export_loss_curves([(entry.label, report)],

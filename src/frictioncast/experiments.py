@@ -225,11 +225,19 @@ class _Job:
     rate: float
     seed: int
     config: ExperimentConfig
+    series: list | None  # the run's CSV segments, parsed once; None on synth
+
+
+def csv_series(config: ExperimentConfig) -> list[timeseries.SegmentSeries] | None:
+    """The configured CSV's segments, or None for synthetic data."""
+    if config.csv_path is None:
+        return None
+    return list(timeseries.ingest_csv(config.csv_path).values())
 
 
 def _series_for(config: ExperimentConfig, seed: int) -> list[timeseries.SegmentSeries]:
     if config.csv_path is not None:
-        return list(timeseries.ingest_csv(config.csv_path).values())
+        return csv_series(config)
     synth = dataclasses.replace(config.synth,
                                 seed=_seed_for(config.seed, _TAG_SERIES, seed))
     return [timeseries.synthesize(synth)]
@@ -247,14 +255,19 @@ def _model_spec(config: ExperimentConfig, entry: ModelEntry) -> network.ModelSpe
 
 
 def run_single(config: ExperimentConfig, entry: ModelEntry, rate: float,
-               seed: int) -> tuple[ResultRow, TrainReport, network.Model]:
-    """One grid cell: build data, train, evaluate. Fully seed-determined."""
+               seed: int, series: list | None = None
+               ) -> tuple[ResultRow, TrainReport, network.Model]:
+    """One grid cell: build data, train, evaluate. Fully seed-determined.
+    `series` passes the CSV's segments (`csv_series`) parsed once per run;
+    without it the job reads its own data."""
     master = config.seed
     reports = []
     metrics_rows = []
     model = None
-    for seg_idx, series in enumerate(_series_for(config, seed)):
-        samples = timeseries.window(series, config.window_len)
+    if series is None:
+        series = _series_for(config, seed)
+    for seg_idx, segment in enumerate(series):
+        samples = timeseries.window(segment, config.window_len)
         splits = timeseries.split(
             samples, _seed_for(master, _TAG_SPLIT, seed, seg_idx))
         if rate > 0.0:
@@ -289,12 +302,14 @@ def run_single(config: ExperimentConfig, entry: ModelEntry, rate: float,
 
 
 def _run_job(job: _Job) -> ResultRow:
-    return run_single(job.config, job.entry, job.rate, job.seed)[0]
+    return run_single(job.config, job.entry, job.rate, job.seed, job.series)[0]
 
 
 def run_benchmark(config: ExperimentConfig, threads: int = 1) -> ResultsTable:
-    """Full (model x imputation x rate x seed) grid."""
-    jobs = [_Job(entry, rate, seed, config)
+    """Full (model x imputation x rate x seed) grid; a CSV is parsed once
+    and its segments handed to every job, in a worker process too."""
+    series = csv_series(config)
+    jobs = [_Job(entry, rate, seed, config, series)
             for entry in config.models
             for rate in config.missing_rates
             for seed in range(config.n_seeds)]

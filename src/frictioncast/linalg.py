@@ -17,5 +17,5 @@ def new_rng(seed: int) -> np.random.Generator:
 
 def sigmoid(v: np.ndarray) -> np.ndarray:
     # exp of -|v| never overflows; for v < 0 the ratio is e^v / (1 + e^v)
-    e = np.exp(-np.abs(v))
+    e = np.exp(np.copysign(v, -1.0))
     return np.where(v >= 0, 1.0, e) / (1.0 + e)

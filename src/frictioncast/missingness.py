@@ -50,13 +50,16 @@ def compute_intervals(s: np.ndarray, m: np.ndarray) -> np.ndarray:
         m = m[:, None]
     if s.ndim != 1 or m.shape[0] != s.shape[0]:
         raise DataError(f"timestamps {s.shape} do not match mask {m.shape}")
-    if np.any(np.diff(s) <= 0):
+    gaps = np.diff(s)
+    if np.any(gaps <= 0):
         raise DataError("timestamps must be strictly increasing")
     t_steps, d = m.shape
     delta = np.zeros((t_steps, d), dtype=np.float64)
-    for t in range(1, t_steps):
-        gap = s[t] - s[t - 1]
-        delta[t] = gap + np.where(m[t - 1] == 0.0, delta[t - 1], 0.0)
+    delta[1:] = gaps[:, None]
+    # only a step that follows a missing entry carries an interval over;
+    # elsewhere the gap stands alone (gap + 0.0 == gap for a gap > 0)
+    for t in np.flatnonzero(np.any(m[:-1] == 0.0, axis=1)) + 1:
+        delta[t] += np.where(m[t - 1] == 0.0, delta[t - 1], 0.0)
     return delta
 
 
@@ -80,16 +83,21 @@ def empirical_mean(views: list[MaskedView]) -> TrainStats:
     return TrainStats(mean=value_sum / count, max_interval=max_interval)
 
 
-def _last_observed(view: MaskedView, stats: TrainStats) -> np.ndarray:
-    """Most recent observed value strictly before each step; mean before any."""
-    t_steps, d = view.x.shape
-    out = np.empty((t_steps, d))
-    last = stats.mean.copy()
-    for t in range(t_steps):
-        out[t] = last
-        obs = view.m[t] > 0.5
-        last = np.where(obs, view.x[t], last)
-    return out
+def last_observed(x: np.ndarray, m: np.ndarray,
+                  mean: np.ndarray) -> np.ndarray:
+    """Most recent observed value strictly before each step, along the time
+    axis of x and m ([..., T, D], any leading batch axes); `mean` [D] before
+    any observation. Pure selection by index accumulation, so exact."""
+    *lead, t_steps, d = x.shape
+    choices = np.empty((*lead, t_steps + 1, d))  # row 0 the mean, k + 1 step k
+    choices[..., 0, :] = mean
+    choices[..., 1:, :] = x
+    # the row of the latest observation before each step: a running maximum
+    # of 1 + the observed steps, shifted one step later; 0 before any
+    rows = np.zeros(choices.shape, dtype=np.intp)
+    rows[..., 1:, :] = np.where(m > 0.5, np.arange(1, t_steps + 1)[:, None], 0)
+    np.maximum.accumulate(rows, axis=-2, out=rows)
+    return np.take_along_axis(choices, rows[..., :-1, :], axis=-2)
 
 
 def impute_average(view: MaskedView, stats: TrainStats) -> np.ndarray:
@@ -101,7 +109,7 @@ def impute_average(view: MaskedView, stats: TrainStats) -> np.ndarray:
 def impute_last(view: MaskedView, stats: TrainStats) -> np.ndarray:
     """Carry the last observation forward; empirical mean before any observation."""
     obs = view.m > 0.5
-    return np.where(obs, view.x, _last_observed(view, stats))
+    return np.where(obs, view.x, last_observed(view.x, view.m, stats.mean))
 
 
 def impute_simple(view: MaskedView, stats: TrainStats) -> np.ndarray:
@@ -113,5 +121,6 @@ def impute_simple(view: MaskedView, stats: TrainStats) -> np.ndarray:
     """
     obs = view.m > 0.5
     d_hat = np.minimum(view.delta / stats.max_interval, 1.0)
-    filled = d_hat * _last_observed(view, stats) + (1.0 - d_hat) * stats.mean
+    last = last_observed(view.x, view.m, stats.mean)
+    filled = d_hat * last + (1.0 - d_hat) * stats.mean
     return np.where(obs, view.x, filled)

@@ -3,9 +3,15 @@
 A model is a stack of cells (depth-1 by default) plus a linear readout on the
 final hidden state; its trainable tensors are views into one flat vector. The
 decay variant consumes the raw mask/interval channels of a sample; every other
-variant requires fully observed (or pre-imputed) input. `backward` returns the
-loss gradient in that vector's layout; `gradient_check` compares it against
-central finite differences.
+variant requires fully observed (or pre-imputed) input.
+
+The forward pass runs layer by layer over a batch of same-length windows
+(`cells` holds the layers). `predict` scores B windows in one call; its entry
+b equals `forward` on window b alone bit for bit, because every product in
+the pass rounds per row. `forward` runs one window and keeps its trace, each
+layer's cache of [T, ·] arrays, for `backward`, which returns the loss
+gradient in the parameter vector's layout; `gradient_check` compares it
+against central finite differences.
 """
 
 from __future__ import annotations
@@ -135,65 +141,68 @@ def _layer_kind(spec: ModelSpec, layer_idx: int) -> str:
     return spec.variant
 
 
-def forward(model: Model, sample: TimeSeriesSample):
-    """Unroll the model over one window; returns (prediction, trace)."""
+def _run(model: Model, samples: list[TimeSeriesSample]):
+    """The forward pass over B same-length windows, layer by layer:
+    (predictions [B], each layer's cache of [B, ·] arrays, h_final [B, H])."""
     spec = model.spec
-    t_len = sample.x.shape[0]
-    if sample.x.shape[1] != spec.input_dim:
+    try:
+        x = np.array([s.x for s in samples])
+    except ValueError as exc:
+        raise ShapeError(f"windows of different shapes in one batch: {exc}"
+                         ) from exc
+    if x.ndim != 3 or x.shape[2] != spec.input_dim:
         raise ShapeError(
-            f"sample has {sample.x.shape[1]} variables, model expects {spec.input_dim}"
+            f"sample has {x.shape[-1]} variables, model expects {spec.input_dim}"
         )
-    if spec.variant != "gru-d" and np.any(np.isnan(sample.x)):
+    if spec.variant != "gru-d" and np.isnan(x).any():
         raise UnimputedValueError(
             f"unimputed missing value reaching a {spec.variant} model"
         )
 
-    trace = {"caches": [], "h_final": None}
+    caches = []
     if spec.variant == "ffnn":
-        v = sample.x.reshape(-1)
-        if v.shape[0] != model.layers[0].w.shape[1]:
+        v = x.reshape(len(samples), -1)
+        if v.shape[1] != model.layers[0].w.shape[1]:
             raise ShapeError(
-                f"window length {t_len} does not match the configured "
+                f"window length {x.shape[1]} does not match the configured "
                 f"feed-forward input size"
             )
-        layer_caches = []
         for layer in model.layers:
             v, cache = cells.dense_step(layer, v)
-            layer_caches.append(cache)
-        trace["caches"] = layer_caches
+            caches.append(cache)
         h_final = v
     else:
-        h_dim = spec.hidden_size
-        h_states = [np.zeros(h_dim) for _ in model.layers]
-        c_states = [np.zeros(h_dim) for _ in model.layers]
-        x_last = None
-        if spec.variant == "gru-d":
-            x_last = model.layers[0].x_mean.copy()
-        caches = [[] for _ in model.layers]
-        kinds = [_layer_kind(spec, li) for li in range(len(model.layers))]
-        for t in range(t_len):
-            inp = sample.x[t]
-            for li, (layer, kind) in enumerate(zip(model.layers, kinds)):
-                if kind == "gru":
-                    h_states[li], cache = cells.gru_step(layer, inp, h_states[li])
-                elif kind == "gru-d":
-                    h_states[li], cache = cells.grud_step(
-                        layer, inp, sample.m[t], sample.delta[t], x_last,
-                        h_states[li])
-                    obs = sample.m[t] > 0.5
-                    x_last = np.where(obs, sample.x[t], x_last)
-                else:  # lstm
-                    h_states[li], c_states[li], cache = cells.lstm_step(
-                        layer, inp, h_states[li], c_states[li])
-                caches[li].append(cache)
-                inp = h_states[li]
-        trace["caches"] = caches
-        h_final = h_states[-1]
+        v = x
+        for li, layer in enumerate(model.layers):
+            kind = _layer_kind(spec, li)
+            if kind == "gru-d":
+                v, cache = cells.grud_layer(
+                    layer, x, np.array([s.m for s in samples]),
+                    np.array([s.delta for s in samples]))
+            elif kind == "gru":
+                v, cache = cells.gru_layer(layer, v)
+            else:  # lstm
+                v, cache = cells.lstm_layer(layer, v)
+            caches.append(cache)
+        h_final = v[:, -1]
+    y_hat = (model.head_w @ h_final[..., None])[..., 0] + model.head_b[0]
+    return y_hat, caches, h_final
 
-    trace["h_final"] = h_final
-    y_hat = float(model.head_w @ h_final + model.head_b[0])
-    trace["y_hat"] = y_hat
-    return y_hat, trace
+
+def forward(model: Model, sample: TimeSeriesSample):
+    """Unroll the model over one window; returns (prediction, trace), the
+    trace holding each layer's cache for `backward` ([T, ·] arrays)."""
+    y_hat, caches, h_final = _run(model, [sample])
+    trace = {"caches": [{k: v[0] for k, v in cache.items()}
+                        for cache in caches],
+             "h_final": h_final[0], "y_hat": float(y_hat[0])}
+    return trace["y_hat"], trace
+
+
+def predict(model: Model, samples: list[TimeSeriesSample]) -> np.ndarray:
+    """Predictions [B] of B same-length windows in one forward pass; entry b
+    equals `forward(model, samples[b])[0]` bit for bit."""
+    return _run(model, samples)[0]
 
 
 def loss_mse(y_hat: float, y: float) -> float:
@@ -217,22 +226,21 @@ _ROW_TERMS = {
 }
 
 
-def _weight_rows(kind: str, layer, caches: list[dict], outs: list) -> np.ndarray:
+def _weight_rows(kind: str, layer, cache: dict, outs: list) -> np.ndarray:
     """Per-step weight-gradient rows [T, n] of one recurrent layer, in the
-    layer's theta order, from its steps' forward caches and what its backward
-    step kernel returned at each step (`outs`, both in time order)."""
+    layer's theta order, from one window's cache [T, ·] and what its backward
+    step kernel returned at each step (`outs`, in time order)."""
     factors = {gate: np.array([out[0][gate] for out in outs])
                for gate in outs[0][0]}
     x_key, h_key = ("x_hat", "h_hat") if kind == "gru-d" else ("x", "h_prev")
-    ops = {"x": cells.stack_steps(caches, x_key),
-           "h": cells.stack_steps(caches, h_key)}
+    ops = {"x": cache[x_key], "h": cache[h_key]}
     if kind != "lstm":
-        ops["rh"] = cells.stack_steps(caches, "r") * ops["h"]
+        ops["rh"] = cache["r"] * ops["h"]
     if kind == "gru-d":
-        ops["m"] = cells.stack_steps(caches, "m")
-        ops["delta"] = cells.stack_steps(caches, "delta")
+        ops["m"] = cache["m"]
+        ops["delta"] = cache["delta"]
         factors["decay_x"], factors["decay_h"] = cells.grud_decay_backward(
-            layer, caches, np.array([out[2] for out in outs]),
+            layer, cache, np.array([out[2] for out in outs]),
             np.array([out[3] for out in outs]))
     cols = []
     for name, tensor in layer.tensors().items():
@@ -250,8 +258,9 @@ def _weight_rows(kind: str, layer, caches: list[dict], outs: list) -> np.ndarray
 def backward(model: Model, trace: dict, y: float) -> np.ndarray:
     """Exact gradient of (y_hat - y)^2 w.r.t. theta, in theta's layout.
 
-    The time loop runs only the recurrence; each recurrent layer's weight
-    gradients are formed after it as per-step rows (`_weight_rows`)."""
+    The time loop runs only the recurrence, reading each layer's cache by
+    step; each recurrent layer's weight gradients are formed after it as
+    per-step rows (`_weight_rows`)."""
     spec = model.spec
     grad = np.zeros_like(model.theta)
     dy = 2.0 * (trace["y_hat"] - y)
@@ -261,17 +270,20 @@ def backward(model: Model, trace: dict, y: float) -> np.ndarray:
     dh_final = dy * model.head_w
 
     if spec.variant == "ffnn":
-        grads = model.unflatten(grad)
         dv = dh_final
         for li in range(len(model.layers) - 1, -1, -1):
+            # the bottom layer's input gradient feeds nothing
             g, dv = cells.dense_step_backward(model.layers[li],
-                                              trace["caches"][li], dv)
-            for name, val in g.items():
-                grads[f"layers.{li}.{name}"] += val
+                                              trace["caches"][li], dv,
+                                              input_grad=li > 0)
+            start, stop = model._layer_spans[li]  # w, then b
+            grad[start:stop - g["b"].size] += g["w"].reshape(-1)
+            grad[stop - g["b"].size:stop] += g["b"]
         return grad
 
     n_layers = len(model.layers)
-    t_len = len(trace["caches"][0])
+    caches = trace["caches"]
+    t_len = caches[0]["h_prev"].shape[0]
     kinds = [_layer_kind(spec, li) for li in range(n_layers)]
     outs = [[None] * t_len for _ in range(n_layers)]  # each step's return
     dh = [np.zeros(spec.hidden_size) for _ in range(n_layers)]
@@ -281,24 +293,22 @@ def backward(model: Model, trace: dict, y: float) -> np.ndarray:
         dx_above = None
         for li in range(n_layers - 1, -1, -1):
             d_out = dh[li] + (dx_above if dx_above is not None else 0.0)
-            cache = trace["caches"][li][t]
             layer = model.layers[li]
             # the bottom layer's input gradient feeds nothing
             if kinds[li] == "lstm":
-                out = cells.lstm_step_backward(layer, cache, d_out, dc[li],
-                                               input_grad=li > 0)
+                out = cells.lstm_step_backward(layer, caches[li], t, d_out,
+                                               dc[li], input_grad=li > 0)
                 _, dh[li], dc[li], dx_above = out
             elif kinds[li] == "gru-d":
-                out = cells.grud_step_backward(layer, cache, d_out)
+                out = cells.grud_step_backward(layer, caches[li], t, d_out)
                 dh[li] = out[1]
             else:
-                out = cells.gru_step_backward(layer, cache, d_out,
+                out = cells.gru_step_backward(layer, caches[li], t, d_out,
                                               input_grad=li > 0)
                 _, dh[li], dx_above = out
             outs[li][t] = out
     for li, (start, stop) in enumerate(model._layer_spans):
-        rows = _weight_rows(kinds[li], model.layers[li], trace["caches"][li],
-                            outs[li])
+        rows = _weight_rows(kinds[li], model.layers[li], caches[li], outs[li])
         # one row at a time in reverse time order, the order of the step
         # loop: rows.sum(0) or a matmul would round differently
         block = grad[start:stop]
@@ -314,11 +324,11 @@ def _kink_excluded(model: Model, trace: dict, eps: float) -> np.ndarray:
     excluded = np.zeros(model.theta.size, dtype=bool)
     if model.spec.variant != "gru-d":
         return excluded
-    caches = trace["caches"][0]
-    max_delta = max(float(np.max(c["delta"])) for c in caches) if caches else 0.0
+    cache = trace["caches"][0]
+    max_delta = float(np.max(cache["delta"])) if cache["delta"].size else 0.0
     tol = 10.0 * eps * (1.0 + max_delta)
-    near_x = np.any([np.abs(c["pre_x"]) < tol for c in caches], axis=0)
-    near_h = np.any([np.abs(c["pre_h"]) < tol for c in caches], axis=0)
+    near_x = np.any(np.abs(cache["pre_x"]) < tol, axis=0)
+    near_h = np.any(np.abs(cache["pre_h"]) < tol, axis=0)
     views = model.unflatten(excluded)
     views["layers.0.w_decay_x"][near_x] = True
     views["layers.0.b_decay_x"][near_x] = True

@@ -111,9 +111,9 @@ def _prepare_inputs(samples: list[TimeSeriesSample], variant: str,
 
 
 def _mean_loss(model: network.Model, samples: list[TimeSeriesSample]) -> float:
+    """Mean squared error over `samples`, summed in sample order."""
     total = 0.0
-    for s in samples:
-        y_hat, _ = network.forward(model, s)
+    for y_hat, s in zip(network.predict(model, samples).tolist(), samples):
         total += network.loss_mse(y_hat, s.y)
     return total / len(samples)
 
@@ -176,5 +176,5 @@ def evaluate(model: network.Model, test_set: list[TimeSeriesSample],
     prepared = _prepare_inputs(test_set, model.spec.variant, imputation,
                                model.train_stats)
     y_true = [s.y for s in prepared]
-    y_pred = [network.forward(model, s)[0] for s in prepared]
+    y_pred = network.predict(model, prepared).tolist()
     return compute_metrics(y_true, y_pred)

@@ -69,15 +69,12 @@ def test_criterion_2_decay_cell_reduction():
         d, h, t_len = 1, 4, 7
         gru = cells.init_gru(d, h, rng)
         grud = grud_from_gru(gru, d, h, x_mean=rng.random(d))
-        hg = hd = np.zeros(h)
-        x_last = grud.x_mean.copy()
-        for t in range(t_len):
-            x = rng.random(d)
-            hg, _ = cells.gru_step(gru, x, hg)
-            hd, _ = cells.grud_step(grud, x, np.ones(d),
-                                    rng.random(d) * 3.0, x_last, hd)
-            x_last = x.copy()
-            worst = max(worst, float(np.max(np.abs(hg - hd))))
+        draws = [(rng.random(d), rng.random(d) * 3.0) for _ in range(t_len)]
+        x = np.array([x_t for x_t, _ in draws])[None]
+        delta = np.array([delta_t for _, delta_t in draws])[None]
+        hg, _ = cells.gru_layer(gru, x)  # the state after every step
+        hd, _ = cells.grud_layer(grud, x, np.ones_like(x), delta)
+        worst = max(worst, float(np.max(np.abs(hg - hd))))
     check(2, "decay cell reduces to plain cell on observed input",
           worst < 1e-12, f"max |h_gru - h_grud| = {worst:.2e} over 100 draws")
 

@@ -18,19 +18,45 @@ def scalar_sigmoid(x):
     return 1.0 / (1.0 + math.exp(-x))
 
 
+def window(cache, b=0):
+    """Window b's cache [T, ·] of a layer run over a batch of windows."""
+    return {k: v[b] for k, v in cache.items()}
+
+
+def gru_one(p, x, h_prev):
+    """One step of the plain cell on one window: (h [H], cache [1, ·])."""
+    out, cache = cells.gru_layer(p, x[None, None], h_prev[None])
+    return out[0, 0], window(cache)
+
+
+def grud_one(p, x, m, delta, h_prev):
+    """The decay cell on one window of steps x, m, delta [T, D] from state
+    h_prev: (the last state [H], cache [T, ·])."""
+    out, cache = cells.grud_layer(p, x[None], m[None], delta[None],
+                                  h_prev[None])
+    return out[0, -1], window(cache)
+
+
+def lstm_one(p, x, h_prev, c_prev):
+    """One LSTM step on one window: (h, c, cache [1, ·])."""
+    out, cache = cells.lstm_layer(p, x[None, None], h_prev[None],
+                                  c_prev[None])
+    return out[0, 0], cache["c"][0, 0], window(cache)
+
+
 # --- plain cell forward ------------------------------------------------------
 
 def test_gru_zero_params_halves_state():
     p = zeroed(cells.init_gru(2, 3, new_rng(0)))
     h_prev = np.array([0.4, -0.2, 1.0])
-    h, _ = cells.gru_step(p, np.array([1.0, 2.0]), h_prev)
+    h, _ = gru_one(p, np.array([1.0, 2.0]), h_prev)
     # gates sit at 0.5 and the candidate at 0, so the state halves
     assert np.allclose(h, 0.5 * h_prev)
 
 
 def test_gru_zero_state_zero_params():
     p = zeroed(cells.init_gru(1, 4, new_rng(0)))
-    h, _ = cells.gru_step(p, np.array([0.3]), np.zeros(4))
+    h, _ = gru_one(p, np.array([0.3]), np.zeros(4))
     assert np.allclose(h, 0.0)
 
 
@@ -65,22 +91,21 @@ def test_gru_matches_scalar_oracle():
     for _ in range(10):
         p = cells.init_gru(2, 5, rng)
         x, h_prev = rng.standard_normal(2), rng.standard_normal(5)
-        h, _ = cells.gru_step(p, x, h_prev)
+        h, _ = gru_one(p, x, h_prev)
         assert np.allclose(h, scalar_gru_oracle(p, x, h_prev), atol=1e-12)
 
 
 def test_gru_shape_mismatch():
     p = cells.init_gru(2, 3, new_rng(0))
     with pytest.raises(ShapeError):
-        cells.gru_step(p, np.zeros(3), np.zeros(3))
+        cells.gru_layer(p, np.zeros((1, 1, 3)))
 
 
 def test_gate_and_candidate_ranges():
     rng = new_rng(8)
     for _ in range(20):
         p = cells.init_gru(1, 4, rng)
-        _, cache = cells.gru_step(p, rng.standard_normal(1),
-                                  rng.standard_normal(4))
+        _, cache = gru_one(p, rng.standard_normal(1), rng.standard_normal(4))
         assert np.all((cache["r"] > 0) & (cache["r"] < 1))
         assert np.all((cache["z"] > 0) & (cache["z"] < 1))
         assert np.all((cache["c"] > -1) & (cache["c"] < 1))
@@ -91,9 +116,9 @@ def test_state_is_convex_mix_of_carry_and_candidate():
     for _ in range(20):
         p = cells.init_gru(1, 4, rng)
         h_prev = rng.standard_normal(4)
-        h, cache = cells.gru_step(p, rng.standard_normal(1), h_prev)
-        lo = np.minimum(h_prev, cache["c"])
-        hi = np.maximum(h_prev, cache["c"])
+        h, cache = gru_one(p, rng.standard_normal(1), h_prev)
+        lo = np.minimum(h_prev, cache["c"][0])
+        hi = np.maximum(h_prev, cache["c"][0])
         assert np.all(h >= lo - 1e-12) and np.all(h <= hi + 1e-12)
 
 
@@ -142,9 +167,9 @@ def test_grud_observed_input_ignores_decay():
     rng = new_rng(5)
     p = cells.init_grud(1, 3, rng, x_mean=np.array([0.6]))
     p.w_decay_x[...] = 5.0  # would decay hard if it were consulted
-    x = np.array([0.9])
-    _, cache = cells.grud_step(p, x, np.ones(1), np.array([3.0]),
-                               np.array([0.1]), rng.standard_normal(3))
+    x = np.array([[0.1], [0.9]])
+    _, cache = grud_one(p, x, np.ones((2, 1)), np.array([[0.0], [3.0]]),
+                        rng.standard_normal(3))
     assert np.array_equal(cache["x_hat"], x)
 
 
@@ -155,9 +180,9 @@ def test_grud_reduces_to_gru():
         grud = grud_from_gru(gru, 1, 4, x_mean=np.array([0.5]))
         x = rng.random(1)
         h_prev = rng.standard_normal(4)
-        hg, _ = cells.gru_step(gru, x, h_prev)
-        hd, _ = cells.grud_step(grud, x, np.ones(1), rng.random(1),
-                                rng.random(1), h_prev)
+        hg, _ = gru_one(gru, x, h_prev)
+        hd, _ = grud_one(grud, x[None], np.ones((1, 1)), rng.random((1, 1)),
+                         h_prev)
         assert np.array_equal(hg, hd)
 
 
@@ -169,16 +194,14 @@ def test_grud_backward_reduces_to_gru():
         gru = cells.init_gru(1, 4, rng)
         grud = grud_from_gru(gru, 1, 4, x_mean=np.array([0.5]))
         x, h_prev, dh = rng.random(1), rng.standard_normal(4), rng.standard_normal(4)
-        _, cg = cells.gru_step(gru, x, h_prev)
-        _, cd = cells.grud_step(grud, x, np.ones(1), rng.random(1),
-                                rng.random(1), h_prev)
-        out_g = cells.gru_step_backward(gru, cg, dh)
-        out_d = cells.grud_step_backward(grud, cd, dh)
+        _, cg = gru_one(gru, x, h_prev)
+        _, cd = grud_one(grud, x[None], np.ones((1, 1)), rng.random((1, 1)),
+                         h_prev)
+        wg, (out_g,) = window_weight_grads("gru", gru, cg, dh)
+        wd, (out_d,) = window_weight_grads("gru-d", grud, cd, dh)
         gates_g, dh_g, dx_g = out_g
         gates_d, dh_d, _, dx_hat = out_d
         assert all(np.array_equal(gates_g[k], gates_d[k]) for k in "rzc")
-        wg = step_weight_grads("gru", gru, cg, out_g)
-        wd = step_weight_grads("gru-d", grud, cd, out_d)
         assert all(np.array_equal(wg[k], wd[k]) for k in gru.tensors())
         # with m = 1 the input grad is the one at the decayed input
         assert np.array_equal(dh_g, dh_d) and np.array_equal(dx_g, dx_hat)
@@ -188,29 +211,30 @@ def test_grud_missing_with_unit_decay_uses_last_observation():
     rng = new_rng(7)
     p = cells.init_grud(1, 3, rng, x_mean=np.array([0.6]))
     p.w_decay_x[...] = 0.0  # unit input decay
-    x_last = np.array([0.82])
-    _, cache = cells.grud_step(p, np.array([np.nan]), np.zeros(1),
-                               np.array([2.0]), x_last, np.zeros(3))
-    assert np.array_equal(cache["x_hat"], x_last)
+    x = np.array([[0.82], [np.nan], [np.nan]])
+    _, cache = grud_one(p, x, np.array([[1.0], [0.0], [0.0]]),
+                        np.array([[0.0], [2.0], [3.0]]), np.zeros(3))
+    assert np.array_equal(cache["x_last"][1:], x[[0, 0]])
+    assert np.array_equal(cache["x_hat"], x[[0, 0, 0]])
 
 
 def test_grud_requires_x_mean():
     p = cells.init_grud(1, 3, new_rng(0))
     with pytest.raises(ShapeError, match="x_mean"):
-        cells.grud_step(p, np.zeros(1), np.ones(1), np.zeros(1),
-                        np.zeros(1), np.zeros(3))
+        cells.grud_layer(p, np.zeros((1, 1, 1)), np.ones((1, 1, 1)),
+                         np.zeros((1, 1, 1)))
 
 
 def test_grud_state_is_convex_mix():
     rng = new_rng(13)
     for _ in range(20):
         p = cells.init_grud(1, 4, rng, x_mean=np.array([0.5]))
-        m = np.array([float(rng.integers(0, 2))])
+        m = np.array([[float(rng.integers(0, 2))]])
         x = np.where(m > 0.5, rng.random(1), np.nan)
-        h, cache = cells.grud_step(p, x, m, rng.random(1), rng.random(1),
-                                   rng.standard_normal(4))
-        lo = np.minimum(cache["h_hat"], cache["c"])
-        hi = np.maximum(cache["h_hat"], cache["c"])
+        h, cache = grud_one(p, x, m, rng.random((1, 1)),
+                            rng.standard_normal(4))
+        lo = np.minimum(cache["h_hat"][0], cache["c"][0])
+        hi = np.maximum(cache["h_hat"][0], cache["c"][0])
         assert np.all(h >= lo - 1e-12) and np.all(h <= hi + 1e-12)
 
 
@@ -219,14 +243,14 @@ def test_grud_state_is_convex_mix():
 def test_lstm_zero_params():
     p = zeroed(cells.init_lstm(2, 3, new_rng(0)))
     c_prev = np.array([0.8, -0.4, 0.0])
-    h, c, _ = cells.lstm_step(p, np.zeros(2), np.zeros(3), c_prev)
+    h, c, _ = lstm_one(p, np.zeros(2), np.zeros(3), c_prev)
     assert np.allclose(c, 0.5 * c_prev)
     assert np.allclose(h, 0.5 * np.tanh(c))
 
 
 def test_lstm_zero_everything():
     p = zeroed(cells.init_lstm(1, 3, new_rng(0)))
-    h, c, _ = cells.lstm_step(p, np.zeros(1), np.zeros(3), np.zeros(3))
+    h, c, _ = lstm_one(p, np.zeros(1), np.zeros(3), np.zeros(3))
     assert np.allclose(h, 0.0) and np.allclose(c, 0.0)
 
 
@@ -257,7 +281,7 @@ def test_lstm_matches_scalar_oracle():
         p = cells.init_lstm(2, 4, rng)
         x = rng.standard_normal(2)
         h_prev, c_prev = rng.standard_normal(4), rng.standard_normal(4)
-        h, c, _ = cells.lstm_step(p, x, h_prev, c_prev)
+        h, c, _ = lstm_one(p, x, h_prev, c_prev)
         oh, oc = scalar_lstm_oracle(p, x, h_prev, c_prev)
         assert np.allclose(h, oh, atol=1e-12)
         assert np.allclose(c, oc, atol=1e-12)
@@ -334,17 +358,32 @@ def numeric_step_grads(step_fn, params, eps=1e-5):
     return out
 
 
-def step_weight_grads(kind, p, cache, out):
-    """One step's weight grads by tensor name, read through the per-window
-    gradient rows of a T=1 window; `out` is what the step's backward kernel
-    returned."""
-    row = network._weight_rows(kind, p, [cache], [out])[0]
+def window_weight_grads(kind, p, cache, dh):
+    """Weight grads of sum(dh * h_T) over one window's cache [T, ·], by
+    tensor name, and what each step's backward kernel returned: the kernels
+    run back through time, then the per-window gradient rows
+    (`network._weight_rows`) are added up in reverse time order."""
+    t_len = cache["h_prev"].shape[0]
+    outs, dc = [None] * t_len, np.zeros_like(dh)
+    for t in range(t_len - 1, -1, -1):
+        if kind == "lstm":
+            outs[t] = cells.lstm_step_backward(p, cache, t, dh, dc)
+            dc = outs[t][2]
+        elif kind == "gru-d":
+            outs[t] = cells.grud_step_backward(p, cache, t, dh)
+        else:
+            outs[t] = cells.gru_step_backward(p, cache, t, dh)
+        dh = outs[t][1]
+    rows = network._weight_rows(kind, p, cache, outs)
+    total = np.zeros(rows.shape[1])
+    for t in range(t_len - 1, -1, -1):
+        total += rows[t]
     grads, start = {}, 0
-    for name, t in p.tensors().items():
-        grads[name] = row[start:start + t.size].reshape(t.shape)
-        start += t.size
-    assert start == row.size
-    return grads
+    for name, tensor in p.tensors().items():
+        grads[name] = total[start:start + tensor.size].reshape(tensor.shape)
+        start += tensor.size
+    assert start == total.size
+    return grads, outs
 
 
 def assert_grads_close(analytic, numeric, tol=1e-6, skip=()):
@@ -361,21 +400,19 @@ def test_gru_backward_matches_finite_differences():
     rng = new_rng(20)
     p = cells.init_gru(1, 3, rng)
     x, h_prev = rng.standard_normal(1), rng.standard_normal(3)
-    _, cache = cells.gru_step(p, x, h_prev)
-    out = cells.gru_step_backward(p, cache, np.ones(3))
-    _, dh_prev, dx = out
-    g = step_weight_grads("gru", p, cache, out)
-    assert_grads_close(g, numeric_step_grads(lambda: cells.gru_step(p, x, h_prev)[0], p))
+    _, cache = gru_one(p, x, h_prev)
+    g, ((_, dh_prev, dx),) = window_weight_grads("gru", p, cache, np.ones(3))
+    assert_grads_close(g, numeric_step_grads(lambda: gru_one(p, x, h_prev)[0], p))
     # carried-state and input gradients against finite differences
     eps = 1e-5
     for j in range(3):
         hp = h_prev.copy(); hp[j] += eps
         hm = h_prev.copy(); hm[j] -= eps
-        num = (np.sum(cells.gru_step(p, x, hp)[0])
-               - np.sum(cells.gru_step(p, x, hm)[0])) / (2 * eps)
+        num = (np.sum(gru_one(p, x, hp)[0])
+               - np.sum(gru_one(p, x, hm)[0])) / (2 * eps)
         assert dh_prev[j] == pytest.approx(num, rel=1e-6, abs=1e-9)
-    num = (np.sum(cells.gru_step(p, x + eps, h_prev)[0])
-           - np.sum(cells.gru_step(p, x - eps, h_prev)[0])) / (2 * eps)
+    num = (np.sum(gru_one(p, x + eps, h_prev)[0])
+           - np.sum(gru_one(p, x - eps, h_prev)[0])) / (2 * eps)
     assert dx[0] == pytest.approx(num, rel=1e-6, abs=1e-9)
 
 
@@ -387,14 +424,15 @@ def test_grud_backward_matches_finite_differences():
     p.b_decay_x[...] = 0.2
     p.w_decay_h[...] = rng.random((3, 1)) + 0.1
     p.b_decay_h[...] = rng.random(3) + 0.1
-    m = np.zeros(1)
-    x, delta, x_last = np.array([np.nan]), np.array([2.0]), np.array([0.8])
+    # observed 0.8 (not the mean), then missing: the second step decays
+    # toward the mean from the last observation
+    m = np.array([[1.0], [0.0]])
+    x, delta = np.array([[0.8], [np.nan]]), np.array([[1.0], [2.0]])
     h_prev = rng.standard_normal(3)
-    _, cache = cells.grud_step(p, x, m, delta, x_last, h_prev)
-    out = cells.grud_step_backward(p, cache, np.ones(3))
-    g = step_weight_grads("gru-d", p, cache, out)
-    numeric = numeric_step_grads(
-        lambda: cells.grud_step(p, x, m, delta, x_last, h_prev)[0], p)
+    _, cache = grud_one(p, x, m, delta, h_prev)
+    assert np.array_equal(cache["x_last"][1], [0.8])
+    g, _ = window_weight_grads("gru-d", p, cache, np.ones(3))
+    numeric = numeric_step_grads(lambda: grud_one(p, x, m, delta, h_prev)[0], p)
     assert_grads_close(g, numeric)
 
 
@@ -405,11 +443,9 @@ def test_grud_backward_dead_rectifier_gives_zero_decay_grads():
     p.b_decay_x[...] = -5.0  # pre-activation below zero -> gamma frozen at 1
     p.w_decay_h[...] = 0.01
     p.b_decay_h[...] = -5.0
-    _, cache = cells.grud_step(p, np.array([np.nan]), np.zeros(1),
-                               np.array([2.0]), np.array([0.8]),
-                               rng.standard_normal(3))
-    out = cells.grud_step_backward(p, cache, np.ones(3))
-    g = step_weight_grads("gru-d", p, cache, out)
+    _, cache = grud_one(p, np.array([[np.nan]]), np.zeros((1, 1)),
+                        np.array([[2.0]]), rng.standard_normal(3))
+    g, _ = window_weight_grads("gru-d", p, cache, np.ones(3))
     for name in ("w_decay_x", "b_decay_x", "w_decay_h", "b_decay_h"):
         assert np.all(g[name] == 0.0)
 
@@ -419,18 +455,45 @@ def test_lstm_backward_matches_finite_differences():
     p = cells.init_lstm(1, 3, rng)
     x = rng.standard_normal(1)
     h_prev, c_prev = rng.standard_normal(3), rng.standard_normal(3)
-    _, _, cache = cells.lstm_step(p, x, h_prev, c_prev)
-    out = cells.lstm_step_backward(p, cache, np.ones(3), np.zeros(3))
-    g = step_weight_grads("lstm", p, cache, out)
-    numeric = numeric_step_grads(
-        lambda: cells.lstm_step(p, x, h_prev, c_prev)[0], p)
+    _, _, cache = lstm_one(p, x, h_prev, c_prev)
+    g, _ = window_weight_grads("lstm", p, cache, np.ones(3))
+    numeric = numeric_step_grads(lambda: lstm_one(p, x, h_prev, c_prev)[0], p)
     assert_grads_close(g, numeric)
 
 
 def test_zero_upstream_gradient_gives_zero_grads():
     rng = new_rng(24)
     p = cells.init_gru(1, 3, rng)
-    _, cache = cells.gru_step(p, rng.standard_normal(1), rng.standard_normal(3))
-    g, dh_prev, dx = cells.gru_step_backward(p, cache, np.zeros(3))
+    _, cache = gru_one(p, rng.standard_normal(1), rng.standard_normal(3))
+    g, dh_prev, dx = cells.gru_step_backward(p, cache, 0, np.zeros(3))
     assert all(np.all(t == 0) for t in g.values())
     assert np.all(dh_prev == 0) and np.all(dx == 0)
+
+
+# --- batch axis --------------------------------------------------------------
+
+def test_stacked_gemv_rounds_as_the_one_row_product():
+    """The batch axis rests on this: `W @ X[..., None]` runs one gemv per row
+    and equals the one-row `W @ x` bit for bit, for every H and input width
+    the layers use, also with the gates stacked on a leading axis, with the
+    operand views that rows of a batch are, and for the head's dot."""
+    rng = np.random.default_rng(0)
+    for h_dim in range(1, 34):
+        for k in sorted({1, h_dim}):
+            w3 = rng.standard_normal((3, h_dim, k))
+            x = rng.standard_normal((13, 7, k))
+            want = np.array([[[w @ row for w in w3] for row in window]
+                             for window in x])
+            stacked = (w3[:, None] @ x.swapaxes(0, 1)[:, None, :, :, None])
+            assert np.array_equal(stacked[..., 0].transpose(2, 0, 1, 3), want)
+            for g in range(3):
+                assert np.array_equal((w3[g] @ x[..., None])[..., 0],
+                                      want[:, :, g])
+            # the transposed weights, as the backward reads them
+            v = rng.standard_normal((13, h_dim))
+            assert np.array_equal((w3[0].T @ v[..., None])[..., 0],
+                                  np.array([w3[0].T @ row for row in v]))
+        head = rng.standard_normal(h_dim)
+        states = rng.standard_normal((13, h_dim))
+        assert np.array_equal((head @ states[..., None])[..., 0],
+                              np.array([head @ row for row in states]))

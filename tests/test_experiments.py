@@ -254,6 +254,31 @@ def test_cli_train_rejects_multi_segment_csv(tmp_path, capsys):
     assert not (out / "model.json").exists()
 
 
+def test_csv_is_parsed_once_per_run(tmp_path, monkeypatch):
+    # every grid job used to parse the CSV again, and `train` parsed it twice
+    csv_path = tmp_path / "one.csv"
+    csv_path.write_text("segment_id,day_index,friction\n" + "".join(
+        f"a,{d},0.{5 + d % 3}{d % 7}\n" for d in range(40)))
+    doc = dict(TINY, data={"csv": str(csv_path)}, models=[{"variant": "gru-d"}],
+               n_seeds=3)
+    calls = []
+    ingest = timeseries.ingest_csv
+
+    def counted(path):
+        calls.append(path)
+        return ingest(path)
+    monkeypatch.setattr(timeseries, "ingest_csv", counted)
+    table = ex.run_benchmark(ex.config_from_json(doc, seed=1))
+    assert len(table.rows) == 3 and len(calls) == 1
+    calls.clear()
+    assert cli.main(["train", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "t")]) == 0
+    assert len(calls) == 1
+    # the parsed segments reach worker processes unchanged
+    parallel = ex.run_benchmark(ex.config_from_json(doc, seed=1), threads=2)
+    assert parallel.rows == table.rows
+
+
 @pytest.mark.parametrize("command", ["train", "synth"])
 def test_cli_threads_only_on_grid_commands(tmp_path, command):
     with pytest.raises(SystemExit) as exc:

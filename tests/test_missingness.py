@@ -56,9 +56,11 @@ def irregular_timestamps(gaps):
 
 
 def draw_mask(data, t_len, d):
-    """A [T, D] mask: random, or (one draw in three) every entry missing."""
-    if data.draw(st.integers(0, 2)) == 0:
-        return np.zeros((t_len, d))
+    """A [T, D] mask: random, or (one draw in four each) every entry missing
+    or every entry observed."""
+    kind = data.draw(st.integers(0, 3))
+    if kind < 2:
+        return np.full((t_len, d), float(kind))
     cells = data.draw(st.lists(st.integers(0, 1), min_size=t_len * d,
                                max_size=t_len * d))
     return np.array(cells, dtype=float).reshape(t_len, d)
@@ -76,6 +78,19 @@ def test_intervals_match_last_observation_oracle(gaps, d, data):
                            atol=1e-9)
     if not m.any():  # nothing observed: the time since the window's start
         assert np.allclose(got, (s - s[0])[:, None], atol=1e-9)
+    if m.all():  # fully observed: each gap on its own, exactly
+        assert np.array_equal(got[1:], np.repeat(np.diff(s)[:, None], d, 1))
+    # the carried sum rounds as the step-by-step recurrence does
+    want = np.zeros_like(got)
+    for t in range(1, len(s)):
+        want[t] = s[t] - s[t - 1] + np.where(m[t - 1] == 0.0, want[t - 1], 0.0)
+    assert np.array_equal(got, want)
+
+
+def test_intervals_fully_observed_window():
+    s = np.array([0.0, 1.0, 3.5, 4.0])
+    got = mi.compute_intervals(s, np.ones((4, 2)))
+    assert np.array_equal(got, [[0.0, 0.0], [1.0, 1.0], [2.5, 2.5], [0.5, 0.5]])
 
 
 def test_empirical_mean():
@@ -179,12 +194,36 @@ def test_impute_simple_stays_between_anchors():
         s -= s[0]
         view = mi.MaskedView(x=x, m=m, s=s, delta=mi.compute_intervals(s, m))
         out = mi.impute_simple(view, stats)
-        last = mi._last_observed(view, stats)
+        last = mi.last_observed(view.x, view.m, stats.mean)
         for t in range(t_len):
             if m[t, 0] == 0:
                 lo = min(last[t, 0], stats.mean[0])
                 hi = max(last[t, 0], stats.mean[0])
                 assert lo - 1e-12 <= out[t, 0] <= hi + 1e-12
+
+
+def last_observed_oracle(x, m, mean):
+    """The step-by-step carry over one window [T, D]."""
+    out, last = np.empty_like(x), mean.copy()
+    for t in range(x.shape[0]):
+        out[t] = last
+        last = np.where(m[t] > 0.5, x[t], last)
+    return out
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 4), st.integers(1, 9), st.integers(1, 3), st.data())
+def test_last_observed_over_a_batch_matches_the_carry(b, t_len, d, data):
+    masks = [draw_mask(data, t_len, d) for _ in range(b)]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    m = np.array(masks)
+    x = np.where(m > 0.5, rng.standard_normal(m.shape), np.nan)
+    mean = rng.standard_normal(d)
+    got = mi.last_observed(x, m, mean)
+    for k in range(b):
+        want = last_observed_oracle(x[k], m[k], mean)
+        assert np.array_equal(got[k], want)
+        assert np.array_equal(mi.last_observed(x[k], m[k], mean), want)
 
 
 @settings(max_examples=200)

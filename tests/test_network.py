@@ -194,13 +194,15 @@ def test_bptt_matches_finite_differences_closely():
             assert abs(a - num) / max(abs(a), abs(num), 1e-8) < 1e-6
 
 
-def per_step_reference(kind, layer, caches, outs):
+def per_step_reference(kind, layer, cache, outs):
     """Each tensor's gradient as a reverse-time `+=` of per-step
     `np.outer(factor, operand)` terms on the factors the step kernels returned
-    (`outs`, in time order): the association the window rows must keep."""
+    (`outs`, in time order), reading row t of the window's cache [T, ·]: the
+    association the window rows must keep."""
     ref = {name: np.zeros_like(t) for name, t in layer.tensors().items()}
-    for t in range(len(caches) - 1, -1, -1):
-        c, gates = caches[t], outs[t][0]
+    for t in range(len(outs) - 1, -1, -1):
+        c = {k: v[t] for k, v in cache.items()}
+        gates = outs[t][0]
         x, h = (c["x_hat"], c["h_hat"]) if kind == "gru-d" else (c["x"], c["h_prev"])
         terms = {}
         for g, f in gates.items():
@@ -239,23 +241,62 @@ def test_window_weight_grads_keep_the_per_step_association(variant, depth,
         layer.w_decay_h[...] = np.abs(layer.w_decay_h)
     sample = make_sample(rng, missing=0.5 if variant == "gru-d" else 0.0)
 
-    outs = {}  # each step kernel's return, by the id of the cache it read
+    outs = {}  # each step kernel's return, by the id of the cache and step
     for name in ("gru_step_backward", "grud_step_backward",
                  "lstm_step_backward"):
-        def record(p, cache, *args, _kernel=getattr(cells, name), **kw):
-            outs[id(cache)] = _kernel(p, cache, *args, **kw)
-            return outs[id(cache)]
+        def record(p, cache, t, *args, _kernel=getattr(cells, name), **kw):
+            outs[id(cache), t] = _kernel(p, cache, t, *args, **kw)
+            return outs[id(cache), t]
         monkeypatch.setattr(cells, name, record)
     _, trace = network.forward(model, sample)
     grads = model.unflatten(network.backward(model, trace, sample.y))
     for li, layer in enumerate(model.layers):
-        caches = trace["caches"][li]
+        cache = trace["caches"][li]
         ref = per_step_reference(network._layer_kind(model.spec, li), layer,
-                                 caches, [outs[id(c)] for c in caches])
+                                 cache, [outs[id(cache), t]
+                                         for t in range(len(sample.x))])
         for name, want in ref.items():
             got = grads[f"layers.{li}.{name}"]
             assert np.array_equal(got, want), f"layers.{li}.{name}"
             assert np.any(got != 0.0), f"layers.{li}.{name} is all zero"
+
+
+@pytest.mark.parametrize("variant,depth", [("gru", 1), ("gru-d", 1),
+                                           ("gru-d", 2), ("lstm", 2),
+                                           ("ffnn", 1)])
+def test_batched_rows_equal_the_one_window_forward(variant, depth):
+    """Row b of a B-window call is the one-window call on window b, bit for
+    bit: predictions, final states and every cached array."""
+    rng = new_rng(43)
+    model = network.build_model(
+        network.ModelSpec(variant, hidden_size=7, recurrent_depth=depth), rng,
+        x_mean=np.array([0.45]))
+    for t in model.named_tensors().values():
+        t[...] = rng.standard_normal(t.shape)
+    missing = 0.5 if variant == "gru-d" else 0.0
+    samples = [make_sample(rng, missing=missing) for _ in range(13)]
+    one = [network.forward(model, s) for s in samples]
+    for b_size in (1, 2, 7, 13):
+        batch = samples[:b_size]
+        preds = network.predict(model, batch)
+        y_hat, caches, h_final = network._run(model, batch)
+        assert np.array_equal(preds, y_hat)
+        for b, (y_one, trace) in enumerate(one[:b_size]):
+            assert preds[b] == y_one
+            assert np.array_equal(h_final[b], trace["h_final"])
+            for cache, want in zip(caches, trace["caches"]):
+                assert cache.keys() == want.keys()
+                for key, arr in cache.items():
+                    assert np.array_equal(arr[b], want[key], equal_nan=True), key
+
+
+def test_predict_rejects_what_forward_rejects():
+    rng = new_rng(44)
+    gru = network.build_model(network.ModelSpec("gru", hidden_size=3), rng)
+    with pytest.raises(UnimputedValueError):
+        network.predict(gru, [make_sample(rng), make_sample(rng, missing=0.9)])
+    with pytest.raises(ShapeError):
+        network.predict(gru, [make_sample(rng), make_sample(rng, t_len=5)])
 
 
 def test_grud_reduction_full_sequence():
