@@ -5,25 +5,29 @@ missing data, a standard LSTM for the baseline, and a dense layer for the
 feed-forward baseline. Both gated recurrent cells share one private gate
 update and its backward pass; the decay cell is a preamble over it that
 decays the input and the carried state and adds the mask terms V·m to each
-gate.
+gate. A layer's tensors are one flat vector, gate-fused: the blocks W, U, b
+(and V) hold one row per gate, and the per-gate fields (`w_r`, `u_z`, ...)
+are views of those rows.
 
 The forward runs one layer at a time over B windows [B, T, D]
 (`gru_layer`, `grud_layer`, `lstm_layer`). A layer first does the work that
 does not depend on the hidden state, once per window: the input
 projections W·x and, in the decay cell, the whole decay preamble. Then it
 calls its step kernel (`gru_step`, `grud_step`, `lstm_step`) once per time
-step over all B rows, with the state in column form [B, H, 1]. Every
-matrix-vector product is a stacked gemv, `W @ X[..., None]`: one BLAS gemv
-per row, which rounds exactly as the one-window `W @ x` does (a gemm over
-the rows would not), so row b of a B-window call equals the one-window call
-bit for bit. A layer returns its outputs [B, T, H] and a cache of
+step over all B rows, with the state in column form [B, H, 1], into [T, ·]
+step buffers. Every matrix-vector product is a stacked gemv per gate,
+`W @ X[..., None]`: one BLAS gemv per row, which rounds exactly as the
+one-window `W @ x` does (a gemm over the rows, or one [3H, H] product over
+the gates, would not), so row b of a B-window call equals the one-window
+call bit for bit. A layer returns its outputs [B, T, H] and a cache of
 [B, T, ·] arrays holding the intermediates the backward pass needs.
 
-The backward runs per window, on one window's cache [T, ·]. The recurrent
-backward steps read row t of it and do only what the recurrence needs: they
-return the gate pre-activation gradients, not weight gradients. A weight's
-gradient at a step is the outer product of a gate gradient and an operand
-the forward cached; the caller forms those once per window
+The backward runs per window, on one window's cache [T, ·], readied once
+by `backward_cache` (the factors that read only the cache, and a gate
+gradient buffer [T, G, H]). The recurrent backward steps fill row t of the
+buffer and do only what the recurrence needs, in the per-step association.
+A weight's gradient at a step is the outer product of a gate gradient and
+an operand the forward cached; the caller forms those once per window
 (`network.backward`), and `grud_decay_backward` runs the decay path over a
 whole window. Backward passes are exact reverse-mode, gradient-checked
 against finite differences.
@@ -36,6 +40,7 @@ kink).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -44,10 +49,47 @@ from .linalg import sigmoid
 from .missingness import last_observed
 
 class _Params:
+    """One layer's trainable tensors, kept in one flat vector in gate-fused
+    order: each block of `_BLOCKS` (an attribute [G, H, ·] and the per-gate
+    fields that are its rows) in turn, then the other trainable fields in
+    declaration order. Fields and blocks are views into that vector."""
+
+    _BLOCKS: ClassVar[tuple] = ()
+
+    def __post_init__(self):
+        self.bind(np.empty(sum(np.size(t) for t in self.tensors().values())))
+
     def tensors(self) -> dict[str, np.ndarray]:
         """Trainable tensors by field name, in declaration order."""
         return {f.name: getattr(self, f.name) for f in fields(self)
                 if f.metadata.get("trained", True)}
+
+    def bind(self, vec: np.ndarray) -> dict[str, tuple[int, int]]:
+        """Copy the trainable values into `vec`, a vector of the layer's
+        size, and rebind every field and block as a view into it; returns
+        each field's (start, stop) in `vec`, in declaration order."""
+        fused = {name for _, names in self._BLOCKS for name in names}
+        groups = [*self._BLOCKS, *((None, (name,)) for name in self.tensors()
+                                   if name not in fused)]
+        spans, start = {}, 0
+        for block, names in groups:
+            rows = np.array([getattr(self, name) for name in names],
+                            dtype=np.float64)
+            view = vec[start:start + rows.size].reshape(rows.shape)
+            view[...] = rows
+            for name, row in zip(names, view):
+                setattr(self, name, row)
+                spans[name] = (start, start + row.size)
+                start += row.size
+            if block is not None:
+                setattr(self, block, view)
+        return {name: spans[name] for name in self.tensors()}
+
+
+def _fused(gates: str, blocks: str = "WUb") -> tuple:
+    """`_BLOCKS` whose block k stacks the fields k_<gate>, lower-cased, of
+    each gate in order: "W" stacks w_r, w_z, w_c for gates "rzc"."""
+    return tuple((k, tuple(f"{k.lower()}_{g}" for g in gates)) for k in blocks)
 
 
 @dataclass
@@ -61,6 +103,8 @@ class GruParams(_Params):
     w_c: np.ndarray  # candidate-state weights
     u_c: np.ndarray
     b_c: np.ndarray
+    # W [3, H, D], U [3, H, H], b [3, H]
+    _BLOCKS: ClassVar[tuple] = _fused("rzc")
 
 
 @dataclass
@@ -74,6 +118,8 @@ class GrudParams(GruParams):
     b_decay_h: np.ndarray  # [H]
     # [D] frozen training mean; a buffer, not a trainable tensor
     x_mean: np.ndarray = field(default=None, metadata={"trained": False})
+    # and V [3, H, D]; the decay tensors follow unfused
+    _BLOCKS: ClassVar[tuple] = _fused("rzc", "WUbV")
 
 
 @dataclass
@@ -90,6 +136,8 @@ class LstmParams(_Params):
     w_g: np.ndarray
     u_g: np.ndarray
     b_g: np.ndarray
+    # W [4, H, D], U [4, H, H], b [4, H]
+    _BLOCKS: ClassVar[tuple] = _fused("fiog")
 
 
 @dataclass
@@ -122,26 +170,20 @@ def _check(name: str, got, want) -> None:
         raise ShapeError(f"{name}: expected shape {tuple(want)}, got {got.shape}")
 
 
-def _gate_stack(p, kind: str, gates: str) -> np.ndarray:
-    """One kind of a layer's gate tensors ("w", "u" or "b") stacked on a
-    leading gate axis, then a unit axis that broadcasts over the B rows:
-    [G, 1, H, ·], biases in column form [G, 1, H, 1]."""
-    stack = np.array([getattr(p, f"{kind}_{g}") for g in gates])[:, None]
-    return stack[..., None] if kind == "b" else stack
-
-
 def _project(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Input projections W·x of windows x [B, T, D] by a gate stack w
-    [G, 1, H, D], time-major: [T, G, B, H, 1], one gemv per row and gate."""
-    return w @ x.swapaxes(0, 1)[:, None, :, :, None]
+    """Input projections W·x of windows x [B, T, D] by a fused block w
+    [G, H, D], time-major: [T, G, B, H, 1], one gemv per row and gate."""
+    return w[:, None] @ x.swapaxes(0, 1)[:, None, :, :, None]
 
 
-def _initial_state(s0, b_dim: int, h_dim: int) -> np.ndarray:
-    """A layer's start state [B, H, 1] in column form; zero unless given."""
-    if s0 is None:
-        return np.zeros((b_dim, h_dim, 1))
-    _check("initial state", s0, (b_dim, h_dim))
-    return s0[..., None]
+def _state_steps(s0, x: np.ndarray, h_dim: int) -> np.ndarray:
+    """A layer's states over a window in column form [T + 1, B, H, 1], time
+    major; row 0 is the start state, zero unless given as s0 [B, H]."""
+    states = np.empty((x.shape[1] + 1, x.shape[0], h_dim, 1))
+    if s0 is not None:
+        _check("initial state", s0, (x.shape[0], h_dim))
+    states[0] = 0.0 if s0 is None else s0[..., None]
+    return states
 
 
 def _check_windows(x: np.ndarray, d: int) -> None:
@@ -149,118 +191,145 @@ def _check_windows(x: np.ndarray, d: int) -> None:
         raise ShapeError(f"x: expected windows [B, T, {d}], got {x.shape}")
 
 
-def _steps(parts: list) -> np.ndarray:
-    """Per-step values [B, ·, 1] of a time loop as one [B, T, ·] array."""
-    return np.array(parts)[..., 0].swapaxes(0, 1)
+def _batch_major(steps: np.ndarray) -> np.ndarray:
+    """A time loop's buffer [T, ..., B, H, 1] as [B, T, ..., H] (a view)."""
+    v = steps[..., 0]
+    return v.transpose(v.ndim - 2, *range(v.ndim - 2), v.ndim - 1)
 
 
 # --- shared gate update -------------------------------------------------------
 
 def _gru_gates(p: GruParams) -> tuple:
-    """The recurrent weights and biases of a gated layer's step kernel:
-    (u_rz [2, 1, H, H], b_rz [2, 1, H, 1]) of the r and z gates, stacked,
-    and (u_c [1, H, H], b_c [1, H, 1]) of the candidate."""
-    u, b = _gate_stack(p, "u", "rzc"), _gate_stack(p, "b", "rzc")
-    return u[:2], b[:2], u[2], b[2]
+    """The recurrent weights and biases of a gated layer's step kernel, as
+    views of its blocks: (u_rz [2, 1, H, H], b_rz [2, 1, H, 1]) of the r and
+    z gates and (u_c [H, H], b_c [H, 1]) of the candidate."""
+    return p.U[:2, None], p.b[:2, None, :, None], p.U[2], p.b[2, :, None]
 
 
-def _gates(g: tuple, xw, h_prev, vm=None):
+def _gates(g: tuple, xw, h_prev, out: tuple, vm=None) -> tuple:
     """Gates, candidate and new state of B rows in column form, from the
     layer's `_gru_gates` and the step's input projections xw [3, B, H, 1]
     (r, z, c); `vm` holds the decay cell's V·m term per gate, added before
-    the bias; the plain cell has none. Returns (h, rz [2, B, H, 1], c)."""
+    the bias; the plain cell has none. Writes and returns
+    out = (h [B, H, 1], rz [2, B, H, 1], c [B, H, 1])."""
     u_rz, b_rz, u_c, b_c = g
-    # (W·x + U·h) [+ V·m] + b, in this order: the bias cannot join the
+    h, rz, c = out
+    # (U·h + W·x) [+ V·m] + b, in this order: the bias cannot join the
     # hoisted W·x without rounding differently
-    a = xw[:2] + u_rz @ h_prev
+    np.matmul(u_rz, h_prev, rz)
+    rz += xw[:2]
     if vm is not None:
-        a += vm[:2]
-    a += b_rz
-    rz = sigmoid(a)
-    r, z = rz
-    a_c = xw[2] + u_c @ (r * h_prev)
+        rz += vm[:2]
+    rz += b_rz
+    sigmoid(rz, rz)
+    z = rz[1]
+    np.matmul(u_c, rz[0] * h_prev, c)
+    c += xw[2]
     if vm is not None:
-        a_c += vm[2]
-    c = np.tanh(a_c + b_c)
-    h = (1.0 - z) * h_prev + z * c
-    return h, rz, c
+        c += vm[2]
+    c += b_c
+    np.tanh(c, c)
+    # (1 - z) * h_prev + z * c
+    np.subtract(1.0, z, h)
+    h *= h_prev
+    h += z * c
+    return out
 
 
-def _gru_cache(x, hs: list, rzs: list, cs: list):
-    """A gated layer's outputs [B, T, H] and its cache of [B, T, ·] arrays."""
-    h = _steps(hs)
-    rz = np.array(rzs)[..., 0]  # [T, 2, B, H]
-    cache = {"x": x, "h_prev": h[:, :-1], "r": rz[:, 0].swapaxes(0, 1),
-             "z": rz[:, 1].swapaxes(0, 1), "c": _steps(cs)}
-    return h[:, 1:], cache
+def _gated_layer(step, g: tuple, x, xw, h0, *per_step) -> tuple:
+    """Run a gated layer's step kernel over the (decayed) windows x
+    [B, T, D] with their projections xw [T, 3, B, H, 1] and any further
+    time-major inputs: (outputs [B, T, H], cache of [B, T, ·] arrays)."""
+    hs = _state_steps(h0, x, xw.shape[3])
+    rzs, cs = np.empty((len(xw), 2, *hs.shape[1:])), np.empty(hs[1:].shape)
+    h = hs[0]
+    for ins, out in zip(zip(xw, *per_step), zip(hs[1:], rzs, cs)):
+        h = step(g, *ins, h, out)[0]
+    h = _batch_major(hs)
+    return h[:, 1:], {"x": x, "h_prev": h[:, :-1], "rz": _batch_major(rzs),
+                      "c": _batch_major(cs)}
 
 
-def _gates_backward(p: GruParams, h_prev, cache: dict, t: int, dh,
+def _gates_backward(p: GruParams, bw: dict, t: int, h_prev, dh,
                     input_grad: bool):
-    """Backward of `_gates` at step t of one window's cache, at state
-    `h_prev`: the gate pre-activation grads {r, z, c}, the state grad and the
-    input grad (None unless `input_grad`)."""
-    r, z, c = cache["r"][t], cache["z"][t], cache["c"][t]
-    dz = dh * (c - h_prev)
-    dc = dh * z
-    dh_prev = dh * (1.0 - z)
-
-    da_c = dc * (1.0 - c * c)
-    d_rh = p.u_c.T @ da_c
-    dr = d_rh * h_prev
-    dh_prev = dh_prev + d_rh * r
-
-    da_r = dr * r * (1.0 - r)
-    da_z = dz * z * (1.0 - z)
-    dh_prev = dh_prev + p.u_r.T @ da_r + p.u_z.T @ da_z
+    """Backward of `_gates` at step t of one window's `backward_cache`, at
+    state `h_prev`: fills row t of its gate-gradient buffer and returns
+    (that row [3, H], the state grad, the input grad or None unless
+    `input_grad`)."""
+    da = bw["da"][t]  # rows r, z, c
+    rz, om_rz = bw["rz"][t], bw["om_rz"][t]
+    np.multiply(dh, rz[1], da[2])  # dc
+    da[2] *= bw["om_cc"][t]
+    d_rh = p.u_c.T @ da[2]
+    np.multiply(d_rh, h_prev, da[0])  # dr
+    np.multiply(dh, bw["ch"][t], da[1])  # dz
+    da_rz = da[:2]
+    da_rz *= rz
+    da_rz *= om_rz
+    dh_prev = dh * om_rz[1] + d_rh * rz[0] + p.u_r.T @ da[0] + p.u_z.T @ da[1]
     dx = None
     if input_grad:
-        dx = p.w_c.T @ da_c + p.w_r.T @ da_r + p.w_z.T @ da_z
-    return {"r": da_r, "z": da_z, "c": da_c}, dh_prev, dx
+        dx = p.w_c.T @ da[2] + p.w_r.T @ da[0] + p.w_z.T @ da[1]
+    return da, dh_prev, dx
+
+
+def backward_cache(kind: str, cache: dict) -> dict:
+    """One window's forward cache [T, ·] of a recurrent layer ("gru",
+    "gru-d" or "lstm"), readied for its backward kernels: the factors that
+    read only the cache, formed once per window, and the buffer `da`
+    [T, G, H] of gate pre-activation gradients the kernels fill (and, for
+    the decay cell, of the grads at its decayed state and input)."""
+    t_len, h_dim = cache["c"].shape
+    if kind == "lstm":
+        fio, gc, tc = cache["fio"], cache["gc"], cache["tc"]
+        return dict(cache, om_fio=1.0 - fio, om_tc=1.0 - tc * tc,
+                    om_gg=1.0 - gc * gc,
+                    cg=np.stack([cache["c_prev"], gc], axis=1),
+                    da=np.empty((t_len, 4, h_dim)))
+    c = cache["c"]
+    h_prev = cache["h_hat" if kind == "gru-d" else "h_prev"]
+    bw = dict(cache, ch=c - h_prev, om_rz=1.0 - cache["rz"],
+              om_cc=1.0 - c * c, da=np.empty((t_len, 3, h_dim)))
+    if kind == "gru-d":
+        bw.update(dh_hat=np.empty((t_len, h_dim)),
+                  dx_hat=np.empty(cache["x_hat"].shape))
+    return bw
 
 
 # --- plain gated recurrent cell ---------------------------------------------
 
-def gru_step(g: tuple, xw: np.ndarray, h_prev: np.ndarray):
+def gru_step(g: tuple, xw: np.ndarray, h_prev: np.ndarray, out: tuple):
     """One step of B rows: the layer's recurrent weights g (`_gru_gates`),
-    input projections xw [3, B, H, 1], state h_prev [B, H, 1]; returns
-    (h, rz, c) in column form."""
-    return _gates(g, xw, h_prev)
+    input projections xw [3, B, H, 1], state h_prev [B, H, 1]; writes and
+    returns out = (h, rz, c) in column form."""
+    return _gates(g, xw, h_prev, out)
 
 
 def gru_layer(p: GruParams, x: np.ndarray, h0: np.ndarray | None = None):
     """The plain cell over B windows x [B, T, D] from state h0 [B, H] (zero
     by default): (outputs [B, T, H], cache)."""
-    _check_windows(x, p.w_r.shape[1])
-    g = _gru_gates(p)
-    xw = _project(_gate_stack(p, "w", "rzc"), x)
-    h = _initial_state(h0, x.shape[0], p.w_r.shape[0])
-    hs, rzs, cs = [h], [], []
-    for xw_t in xw:
-        h, rz, c = gru_step(g, xw_t, h)
-        hs.append(h)
-        rzs.append(rz)
-        cs.append(c)
-    return _gru_cache(x, hs, rzs, cs)
+    _check_windows(x, p.W.shape[2])
+    return _gated_layer(gru_step, _gru_gates(p), x, _project(p.W, x), h0)
 
 
-def gru_step_backward(p: GruParams, cache: dict, t: int, dh: np.ndarray,
+def gru_step_backward(p: GruParams, bw: dict, t: int, dh: np.ndarray,
                       input_grad: bool = True):
-    """(gate pre-activation grads {r, z, c}, dh_prev, dx) at step t of one
-    window's cache [T, ·]; the weight grads are the outer products of those
-    with the step's x, h_prev and r*h_prev, formed once per window by the
-    caller. `dx` is None unless `input_grad`."""
-    return _gates_backward(p, cache["h_prev"][t], cache, t, dh, input_grad)
+    """(gate pre-activation grads [3, H] (r, z, c), dh_prev, dx) at step t
+    of one window's `backward_cache`; the grads are row t of its buffer
+    `da`, whose outer products with the step's x, h_prev and r*h_prev are
+    the weight grads, formed once per window by the caller. `dx` is None
+    unless `input_grad`."""
+    return _gates_backward(p, bw, t, bw["h_prev"][t], dh, input_grad)
 
 
 # --- decay-mechanism cell ----------------------------------------------------
 
 def grud_step(g: tuple, xw: np.ndarray, vm: np.ndarray, gamma_h: np.ndarray,
-              h_prev: np.ndarray):
+              h_prev: np.ndarray, out: tuple):
     """One step of B rows: the carried state decayed by gamma_h [B, H, 1],
     then the shared gate update on the decayed input's projections xw with
     the mask terms vm (both [3, B, H, 1])."""
-    return _gates(g, xw, gamma_h * h_prev, vm)
+    return _gates(g, xw, gamma_h * h_prev, out, vm)
 
 
 def grud_layer(p: GrudParams, x: np.ndarray, m: np.ndarray, delta: np.ndarray,
@@ -277,7 +346,7 @@ def grud_layer(p: GrudParams, x: np.ndarray, m: np.ndarray, delta: np.ndarray,
     """
     if p.x_mean is None:
         raise ShapeError("x_mean is unset on the decay cell parameters")
-    _check_windows(x, p.w_r.shape[1])
+    _check_windows(x, p.W.shape[2])
     _check("m", m, x.shape)
     _check("delta", delta, x.shape)
     x_obs = np.where(m > 0.5, x, 0.0)  # sanitize sentinels before arithmetic
@@ -286,123 +355,112 @@ def grud_layer(p: GrudParams, x: np.ndarray, m: np.ndarray, delta: np.ndarray,
     pre_h, gamma_h = _decay(p.w_decay_h, p.b_decay_h, delta)
     x_hat = m * x_obs + (1.0 - m) * (gamma_x * x_last + (1.0 - gamma_x) * p.x_mean)
 
-    g = _gru_gates(p)
-    xw = _project(_gate_stack(p, "w", "rzc"), x_hat)
-    vm = _project(_gate_stack(p, "v", "rzc"), m)
+    xw, vm = _project(p.W, x_hat), _project(p.V, m)
     gamma_col = gamma_h.swapaxes(0, 1)[..., None]  # [T, B, H, 1]
-    h = _initial_state(h0, x.shape[0], p.w_r.shape[0])
-    hs, rzs, cs = [h], [], []
-    for t in range(x.shape[1]):
-        h, rz, c = grud_step(g, xw[t], vm[t], gamma_col[t], h)
-        hs.append(h)
-        rzs.append(rz)
-        cs.append(c)
-    out, cache = _gru_cache(x_hat, hs, rzs, cs)
+    out, cache = _gated_layer(grud_step, _gru_gates(p), x_hat, xw, h0, vm,
+                              gamma_col)
     cache.update(x_hat=x_hat, h_hat=gamma_h * cache["h_prev"], m=m,
                  delta=delta, x_last=x_last, pre_x=pre_x, gamma_x=gamma_x,
                  pre_h=pre_h, gamma_h=gamma_h)
     return out, cache
 
 
-def grud_step_backward(p: GrudParams, cache: dict, t: int, dh: np.ndarray):
-    """(gate pre-activation grads {r, z, c}, dh_prev, dh_hat, dx_hat) at step
-    t of one window's cache: the gate grads act on x_hat, h_hat and the mask
-    m; `dh_hat` and `dx_hat`, the grads at the decayed state and input, feed
-    `grud_decay_backward`."""
-    gates, dh_hat, dx_hat = _gates_backward(p, cache["h_hat"][t], cache, t,
-                                            dh, True)
-    return gates, dh_hat * cache["gamma_h"][t], dh_hat, dx_hat
+def grud_step_backward(p: GrudParams, bw: dict, t: int, dh: np.ndarray):
+    """(gate pre-activation grads [3, H], dh_prev, dh_hat, dx_hat) at step t
+    of one window's `backward_cache`: the gate grads act on x_hat, h_hat and
+    the mask m; `dh_hat` and `dx_hat`, the grads at the decayed state and
+    input, land in rows t of the buffers of the same name, which
+    `grud_decay_backward` reads."""
+    da, dh_hat, dx_hat = _gates_backward(p, bw, t, bw["h_hat"][t], dh, True)
+    bw["dh_hat"][t], bw["dx_hat"][t] = dh_hat, dx_hat
+    return da, dh_hat * bw["gamma_h"][t], dh_hat, dx_hat
 
 
-def grud_decay_backward(p: GrudParams, cache: dict, dh_hat: np.ndarray,
-                        dx_hat: np.ndarray):
+def grud_decay_backward(p: GrudParams, bw: dict):
     """Grads at the decay pre-activations over one window of decay-cell
-    steps: (da_x [T, D], da_h [T, H]) from its cache and the steps' `dh_hat`
-    [T, H] and `dx_hat` [T, D]; zero where the rectifier is off."""
+    steps: (da_x [T, D], da_h [T, H]) from its `backward_cache` once the
+    step kernels filled `dh_hat` and `dx_hat`; zero where the rectifier is
+    off."""
     # hidden decay path: h_hat = gamma_h * h_prev
-    da_h = _decay_backward(cache["pre_h"], cache["gamma_h"],
-                           dh_hat * cache["h_prev"])
+    da_h = _decay_backward(bw["pre_h"], bw["gamma_h"],
+                           bw["dh_hat"] * bw["h_prev"])
     # input decay path: x_hat mixes x_last and the frozen mean on missing slots
-    dgamma_x = dx_hat * (1.0 - cache["m"]) * (cache["x_last"] - p.x_mean)
-    da_x = _decay_backward(cache["pre_x"], cache["gamma_x"], dgamma_x)
+    dgamma_x = bw["dx_hat"] * (1.0 - bw["m"]) * (bw["x_last"] - p.x_mean)
+    da_x = _decay_backward(bw["pre_x"], bw["gamma_x"], dgamma_x)
     return da_x, da_h
 
 
 # --- LSTM baseline -----------------------------------------------------------
 
 def lstm_step(g: tuple, xw: np.ndarray, h_prev: np.ndarray,
-              c_prev: np.ndarray):
+              c_prev: np.ndarray, out: tuple):
     """One step of B rows: the layer's recurrent weights and biases
-    g = (u [4, 1, H, H], b [4, 1, H, 1]) of the gates f, i, o, g, input
-    projections xw [4, B, H, 1], states h_prev and c_prev [B, H, 1]; returns
-    (h, c, fio [3, B, H, 1], gc, tanh(c))."""
+    g = (U [4, 1, H, H], b [4, 1, H, 1]) of the gates f, i, o, g, input
+    projections xw [4, B, H, 1], states h_prev and c_prev [B, H, 1]; writes
+    and returns out = (h, c, a [4, B, H, 1], tanh(c)), where a holds the
+    gates f, i, o and the candidate gc."""
     u, b = g
-    a = xw + u @ h_prev
+    h, c, a, tc = out
+    np.matmul(u, h_prev, a)
+    a += xw
     a += b
-    fio = sigmoid(a[:3])
-    f, i, o = fio
-    gc = np.tanh(a[3])
-    c = f * c_prev + i * gc
-    tc = np.tanh(c)
-    h = o * tc
-    return h, c, fio, gc, tc
+    fio = a[:3]
+    sigmoid(fio, fio)
+    gc = np.tanh(a[3], a[3])
+    np.multiply(fio[0], c_prev, c)
+    c += fio[1] * gc
+    np.tanh(c, tc)
+    np.multiply(fio[2], tc, h)
+    return out
 
 
 def lstm_layer(p: LstmParams, x: np.ndarray, h0: np.ndarray | None = None,
                c0: np.ndarray | None = None):
     """The LSTM over B windows x [B, T, D] from states h0 and c0 [B, H] (zero
     by default): (outputs [B, T, H], cache)."""
-    _check_windows(x, p.w_f.shape[1])
-    g = (_gate_stack(p, "u", "fiog"), _gate_stack(p, "b", "fiog"))
-    xw = _project(_gate_stack(p, "w", "fiog"), x)
-    h_dim = p.w_f.shape[0]
-    h = _initial_state(h0, x.shape[0], h_dim)
-    c = _initial_state(c0, x.shape[0], h_dim)
-    hs, cs, fios, gcs, tcs = [h], [c], [], [], []
-    for xw_t in xw:
-        h, c, fio, gc, tc = lstm_step(g, xw_t, h, c)
-        hs.append(h)
-        cs.append(c)
-        fios.append(fio)
-        gcs.append(gc)
-        tcs.append(tc)
-    h, c = _steps(hs), _steps(cs)
-    fio = np.array(fios)[..., 0]  # [T, 3, B, H]
+    _check_windows(x, p.W.shape[2])
+    g = (p.U[:, None], p.b[:, None, :, None])
+    xw = _project(p.W, x)
+    h_dim = p.W.shape[1]
+    hs, cs = _state_steps(h0, x, h_dim), _state_steps(c0, x, h_dim)
+    a_s = np.empty((x.shape[1], 4, *hs.shape[1:]))
+    tcs = np.empty(hs[1:].shape)
+    h, c = hs[0], cs[0]
+    for xw_t, out in zip(xw, zip(hs[1:], cs[1:], a_s, tcs)):
+        h, c = lstm_step(g, xw_t, h, c, out)[:2]
+    h, c, a = _batch_major(hs), _batch_major(cs), _batch_major(a_s)
     cache = {"x": x, "h_prev": h[:, :-1], "c_prev": c[:, :-1], "c": c[:, 1:],
-             "f": fio[:, 0].swapaxes(0, 1), "i": fio[:, 1].swapaxes(0, 1),
-             "o": fio[:, 2].swapaxes(0, 1), "gc": _steps(gcs),
-             "tc": _steps(tcs)}
+             "fio": a[:, :, :3], "gc": a[:, :, 3], "tc": _batch_major(tcs)}
     return h[:, 1:], cache
 
 
-def lstm_step_backward(p: LstmParams, cache: dict, t: int, dh: np.ndarray,
+def lstm_step_backward(p: LstmParams, bw: dict, t: int, dh: np.ndarray,
                        dc_in: np.ndarray, input_grad: bool = True):
-    """(gate pre-activation grads {f, i, o, g}, dh_prev, dc_prev, dx) at step
-    t of one window's cache; the weight grads are their outer products with
-    the step's x and h_prev. `dx` is None unless `input_grad`."""
-    c_prev = cache["c_prev"][t]
-    f, i, o = cache["f"][t], cache["i"][t], cache["o"][t]
-    gc, tc = cache["gc"][t], cache["tc"][t]
-
-    do = dh * tc
-    dc = dc_in + dh * o * (1.0 - tc * tc)
-    df = dc * c_prev
-    di = dc * gc
-    dgc = dc * i
-    dc_prev = dc * f
-
-    da_f = df * f * (1.0 - f)
-    da_i = di * i * (1.0 - i)
-    da_o = do * o * (1.0 - o)
-    da_g = dgc * (1.0 - gc * gc)
+    """(gate pre-activation grads [4, H] (f, i, o, g), dh_prev, dc_prev, dx)
+    at step t of one window's `backward_cache`; the grads are row t of its
+    buffer `da`, whose outer products with the step's x and h_prev are the
+    weight grads. `dx` is None unless `input_grad`."""
+    da = bw["da"][t]
+    fio = bw["fio"][t]
+    dc = dh * fio[2]  # dc_in + dh * o * (1 - tc^2)
+    dc *= bw["om_tc"][t]
+    dc += dc_in
+    np.multiply(dc, bw["cg"][t], da[:2])  # df, di
+    np.multiply(dh, bw["tc"][t], da[2])  # do
+    da_fio = da[:3]
+    da_fio *= fio
+    da_fio *= bw["om_fio"][t]
+    np.multiply(dc, fio[1], da[3])  # dgc
+    da[3] *= bw["om_gg"][t]
+    dc_prev = dc * fio[0]
     # each sum starts from 0.0, which turns an all -0.0 result into +0.0
-    dh_prev = (0.0 + p.u_f.T @ da_f + p.u_i.T @ da_i + p.u_o.T @ da_o
-               + p.u_g.T @ da_g)
+    dh_prev = (0.0 + p.u_f.T @ da[0] + p.u_i.T @ da[1] + p.u_o.T @ da[2]
+               + p.u_g.T @ da[3])
     dx = None
     if input_grad:
-        dx = (0.0 + p.w_f.T @ da_f + p.w_i.T @ da_i + p.w_o.T @ da_o
-              + p.w_g.T @ da_g)
-    return {"f": da_f, "i": da_i, "o": da_o, "g": da_g}, dh_prev, dc_prev, dx
+        dx = (0.0 + p.w_f.T @ da[0] + p.w_i.T @ da[1] + p.w_o.T @ da[2]
+              + p.w_g.T @ da[3])
+    return da, dh_prev, dc_prev, dx
 
 
 # --- dense layer (feed-forward baseline) -------------------------------------

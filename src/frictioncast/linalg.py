@@ -15,7 +15,14 @@ def new_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def sigmoid(v: np.ndarray) -> np.ndarray:
-    # exp of -|v| never overflows; for v < 0 the ratio is e^v / (1 + e^v)
-    e = np.exp(np.copysign(v, -1.0))
-    return np.where(v >= 0, 1.0, e) / (1.0 + e)
+def sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function; into `out` when given, which may be `v` itself."""
+    # exp(min(v, 0)) is e^v below zero and 1 above it; exp(-|v|) never
+    # overflows, and the ratio is e^v / (1 + e^v) for v < 0
+    den = np.copysign(v, -1.0)
+    np.exp(den, den)
+    den += 1.0
+    out = np.minimum(v, 0.0, out=out)
+    np.exp(out, out)
+    out /= den
+    return out

@@ -3,7 +3,8 @@
 All per-step arrays are shaped [T, D]: rows are time steps, columns are
 variables. Missing entries are stored as NaN and exposed through the mask;
 the imputers (`impute_average`, `impute_last`, `impute_simple`) return a new
-value array with the sentinels filled in.
+value array with the sentinels filled in. They are elementwise, so a view
+of stacked windows [B, T, D] imputes them all in one call.
 """
 
 from __future__ import annotations
@@ -38,6 +39,19 @@ def compute_mask(values: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(values), 0.0, 1.0)
 
 
+def observed_intervals(s: np.ndarray, d: int) -> np.ndarray:
+    """Intervals [..., T, d] of fully observed windows with timestamps
+    s [..., T] (any leading batch axes): each step's gap since the step
+    before, 0 at the first step. This is `compute_intervals` on a mask of
+    ones, without its carry."""
+    gaps = np.diff(s, axis=-1)
+    if np.any(gaps <= 0):
+        raise DataError("timestamps must be strictly increasing")
+    delta = np.zeros((*s.shape, d), dtype=np.float64)
+    delta[..., 1:, :] = gaps[..., None]
+    return delta
+
+
 def compute_intervals(s: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Elapsed time since the last observation, per step and variable.
 
@@ -50,12 +64,7 @@ def compute_intervals(s: np.ndarray, m: np.ndarray) -> np.ndarray:
         m = m[:, None]
     if s.ndim != 1 or m.shape[0] != s.shape[0]:
         raise DataError(f"timestamps {s.shape} do not match mask {m.shape}")
-    gaps = np.diff(s)
-    if np.any(gaps <= 0):
-        raise DataError("timestamps must be strictly increasing")
-    t_steps, d = m.shape
-    delta = np.zeros((t_steps, d), dtype=np.float64)
-    delta[1:] = gaps[:, None]
+    delta = observed_intervals(s, m.shape[1])
     # only a step that follows a missing entry carries an interval over;
     # elsewhere the gap stands alone (gap + 0.0 == gap for a gap > 0)
     for t in np.flatnonzero(np.any(m[:-1] == 0.0, axis=1)) + 1:

@@ -1,17 +1,21 @@
 """Sequence models with a scalar regression head, exact BPTT, persistence.
 
 A model is a stack of cells (depth-1 by default) plus a linear readout on the
-final hidden state; its trainable tensors are views into one flat vector. The
-decay variant consumes the raw mask/interval channels of a sample; every other
-variant requires fully observed (or pre-imputed) input.
+final hidden state; its trainable tensors are views into one flat vector.
+Each layer's slice of it is laid out gate-fused (`cells._Params`), while the
+named tensors, `unflatten` and `model.json` keep declaration order. The
+decay variant consumes the raw mask/interval channels of a sample; every
+other variant requires fully observed (or pre-imputed) input.
 
 The forward pass runs layer by layer over a batch of same-length windows
 (`cells` holds the layers). `predict` scores B windows in one call; its entry
 b equals `forward` on window b alone bit for bit, because every product in
 the pass rounds per row. `forward` runs one window and keeps its trace, each
 layer's cache of [T, ·] arrays, for `backward`, which returns the loss
-gradient in the parameter vector's layout; `gradient_check` compares it
-against central finite differences.
+gradient in the parameter vector's layout: a time loop of step kernels
+that fill each layer's gate-gradient buffer, then one broadcast product per
+weight block over the window. `gradient_check` compares it against central
+finite differences.
 """
 
 from __future__ import annotations
@@ -66,27 +70,31 @@ class Model:
     theta: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        slots = [(f"layers.{i}.{name}", layer, name)
-                 for i, layer in enumerate(self.layers) for name in layer.tensors()]
-        slots += [("head.w", self, "head_w"), ("head.b", self, "head_b")]
-        layout, start = [], 0
-        for path, owner, attr in slots:
-            t = getattr(owner, attr)
-            layout.append((path, start, start + t.size, t.shape))
-            start += t.size
-        self._layout = tuple(layout)  # (path, start, stop, shape), fixed
-        # each layer's tensors are one contiguous block of theta
         bounds = [0, *itertools.accumulate(
             sum(t.size for t in layer.tensors().values()) for layer in self.layers)]
         self._layer_spans = tuple(zip(bounds, bounds[1:]))
-        self.theta = np.empty(start)
-        views = self.named_tensors()
-        for path, owner, attr in slots:
-            views[path][...] = getattr(owner, attr)
-            setattr(owner, attr, views[path])
+        start = bounds[-1]
+        self.theta = np.empty(start + self.head_w.size + self.head_b.size)
+        # (path, start, stop, shape) in declaration order, fixed; within its
+        # layer's contiguous span a tensor sits at its gate-fused offset
+        layout = []
+        for i, (layer, (lo, hi)) in enumerate(zip(self.layers,
+                                                  self._layer_spans)):
+            for name, (a, b) in layer.bind(self.theta[lo:hi]).items():
+                layout.append((f"layers.{i}.{name}", lo + a, lo + b,
+                               getattr(layer, name).shape))
+        for path, attr in (("head.w", "head_w"), ("head.b", "head_b")):
+            t = getattr(self, attr)
+            view = self.theta[start:start + t.size].reshape(t.shape)
+            view[...] = t
+            setattr(self, attr, view)
+            layout.append((path, start, start + t.size, t.shape))
+            start += t.size
+        self._layout = tuple(layout)
 
     def __deepcopy__(self, memo) -> "Model":
-        # views copied one by one lose theta; the constructor relinks them
+        # views copied one by one lose theta; the constructor relinks the
+        # fields and the fused blocks
         return Model(spec=self.spec, layers=copy.deepcopy(self.layers, memo),
                      head_w=self.head_w.copy(), head_b=self.head_b.copy(),
                      train_stats=copy.deepcopy(self.train_stats, memo))
@@ -209,58 +217,55 @@ def loss_mse(y_hat: float, y: float) -> float:
     return (y_hat - y) ** 2
 
 
-# Each recurrent weight's gradient at one step is the outer product of a gate
-# factor (a gate pre-activation grad, or a decay one) and an operand the
-# forward step cached: (factor, operand) by tensor name. A bias (operand None)
-# is the factor itself; a 1-D weight (the diagonal input decay) takes the
-# elementwise product.
-_ROW_TERMS = {
-    "w_r": ("r", "x"), "u_r": ("r", "h"), "b_r": ("r", None),
-    "w_z": ("z", "x"), "u_z": ("z", "h"), "b_z": ("z", None),
-    "w_c": ("c", "x"), "u_c": ("c", "rh"), "b_c": ("c", None),
-    "v_r": ("r", "m"), "v_z": ("z", "m"), "v_c": ("c", "m"),
-    "w_decay_x": ("decay_x", "delta"), "b_decay_x": ("decay_x", None),
-    "w_decay_h": ("decay_h", "delta"), "b_decay_h": ("decay_h", None),
-    **{f"{w}_{gate}": (gate, op) for gate in "fiog"
-       for w, op in (("w", "x"), ("u", "h"), ("b", None))},
-}
+def _weight_rows(kind: str, layer, bw: dict, n: int) -> np.ndarray:
+    """Per-step weight-gradient rows [T, n] of one recurrent layer in its
+    gate-fused θ order (`cells._Params`), from one window's `backward_cache`
+    once the step kernels have filled its gate-gradient buffer [T, G, H]:
+    one broadcast product per block, each row of it a per-step outer product
+    of a gate factor and an operand the forward cached."""
+    da = bw["da"]
+    t_len, n_gates, h_dim = da.shape
+    x, h = bw["x"], bw["h_hat" if kind == "gru-d" else "h_prev"]  # x: x_hat
+    d_dim = x.shape[1]
+    rows = np.empty((t_len, n))
+    at = 0
 
+    def block(*shape):  # the next block's columns, viewed [T, *shape]
+        nonlocal at
+        size = math.prod(shape)
+        at += size
+        return rows[:, at - size:at].reshape(t_len, *shape)
 
-def _weight_rows(kind: str, layer, cache: dict, outs: list) -> np.ndarray:
-    """Per-step weight-gradient rows [T, n] of one recurrent layer, in the
-    layer's theta order, from one window's cache [T, ·] and what its backward
-    step kernel returned at each step (`outs`, in time order)."""
-    factors = {gate: np.array([out[0][gate] for out in outs])
-               for gate in outs[0][0]}
-    x_key, h_key = ("x_hat", "h_hat") if kind == "gru-d" else ("x", "h_prev")
-    ops = {"x": cache[x_key], "h": cache[h_key]}
-    if kind != "lstm":
-        ops["rh"] = cache["r"] * ops["h"]
+    np.multiply(da[..., None], x[:, None, None], out=block(n_gates, h_dim, d_dim))
+    u = block(n_gates, h_dim, h_dim)
+    if kind == "lstm":
+        np.multiply(da[..., None], h[:, None, None], out=u)
+    else:  # the candidate's U acts on r * h_prev
+        np.multiply(da[:, :2, :, None], h[:, None, None], out=u[:, :2])
+        np.multiply(da[:, 2, :, None], (bw["rz"][:, 0] * h)[:, None],
+                    out=u[:, 2])
+    block(n_gates, h_dim)[...] = da
     if kind == "gru-d":
-        ops["m"] = cache["m"]
-        ops["delta"] = cache["delta"]
-        factors["decay_x"], factors["decay_h"] = cells.grud_decay_backward(
-            layer, cache, np.array([out[2] for out in outs]),
-            np.array([out[3] for out in outs]))
-    cols = []
-    for name, tensor in layer.tensors().items():
-        factor, op = _ROW_TERMS[name]
-        f = factors[factor]
-        if op is None:
-            cols.append(f)
-        elif tensor.ndim == 1:
-            cols.append(f * ops[op])
-        else:
-            cols.append((f[:, :, None] * ops[op][:, None, :]).reshape(len(f), -1))
-    return np.concatenate(cols, axis=1)
+        np.multiply(da[..., None], bw["m"][:, None, None],
+                    out=block(n_gates, h_dim, d_dim))
+        da_x, da_h = cells.grud_decay_backward(layer, bw)
+        delta = bw["delta"]
+        np.multiply(da_x, delta, out=block(d_dim))
+        block(d_dim)[...] = da_x
+        np.multiply(da_h[..., None], delta[:, None], out=block(h_dim, d_dim))
+        block(h_dim)[...] = da_h
+    if at != n:
+        raise ShapeError(f"{kind} weight rows fill {at} of {n} columns")
+    return rows
 
 
 def backward(model: Model, trace: dict, y: float) -> np.ndarray:
     """Exact gradient of (y_hat - y)^2 w.r.t. theta, in theta's layout.
 
-    The time loop runs only the recurrence, reading each layer's cache by
-    step; each recurrent layer's weight gradients are formed after it as
-    per-step rows (`_weight_rows`)."""
+    The time loop runs only the recurrence: each layer's step kernels read
+    its `cells.backward_cache` by step and fill its gate-gradient buffer.
+    Each recurrent layer's weight gradients are formed after it as per-step
+    rows (`_weight_rows`)."""
     spec = model.spec
     grad = np.zeros_like(model.theta)
     dy = 2.0 * (trace["y_hat"] - y)
@@ -282,33 +287,29 @@ def backward(model: Model, trace: dict, y: float) -> np.ndarray:
         return grad
 
     n_layers = len(model.layers)
-    caches = trace["caches"]
-    t_len = caches[0]["h_prev"].shape[0]
     kinds = [_layer_kind(spec, li) for li in range(n_layers)]
-    outs = [[None] * t_len for _ in range(n_layers)]  # each step's return
+    bws = [cells.backward_cache(kind, cache)
+           for kind, cache in zip(kinds, trace["caches"])]
+    t_len = bws[0]["da"].shape[0]
     dh = [np.zeros(spec.hidden_size) for _ in range(n_layers)]
     dc = [np.zeros(spec.hidden_size) for _ in range(n_layers)]
-    dh[-1] = dh_final.copy()
+    dh[-1] = dh_final
     for t in range(t_len - 1, -1, -1):
         dx_above = None
         for li in range(n_layers - 1, -1, -1):
-            d_out = dh[li] + (dx_above if dx_above is not None else 0.0)
-            layer = model.layers[li]
+            d_out = dh[li] if dx_above is None else dh[li] + dx_above
+            layer, bw = model.layers[li], bws[li]
             # the bottom layer's input gradient feeds nothing
             if kinds[li] == "lstm":
-                out = cells.lstm_step_backward(layer, caches[li], t, d_out,
-                                               dc[li], input_grad=li > 0)
-                _, dh[li], dc[li], dx_above = out
+                _, dh[li], dc[li], dx_above = cells.lstm_step_backward(
+                    layer, bw, t, d_out, dc[li], input_grad=li > 0)
             elif kinds[li] == "gru-d":
-                out = cells.grud_step_backward(layer, caches[li], t, d_out)
-                dh[li] = out[1]
+                dh[li] = cells.grud_step_backward(layer, bw, t, d_out)[1]
             else:
-                out = cells.gru_step_backward(layer, caches[li], t, d_out,
-                                              input_grad=li > 0)
-                _, dh[li], dx_above = out
-            outs[li][t] = out
+                _, dh[li], dx_above = cells.gru_step_backward(
+                    layer, bw, t, d_out, input_grad=li > 0)
     for li, (start, stop) in enumerate(model._layer_spans):
-        rows = _weight_rows(kinds[li], model.layers[li], caches[li], outs[li])
+        rows = _weight_rows(kinds[li], model.layers[li], bws[li], stop - start)
         # one row at a time in reverse time order, the order of the step
         # loop: rows.sum(0) or a matmul would round differently
         block = grad[start:stop]

@@ -137,15 +137,15 @@ def window(series: SegmentSeries, t_len: int) -> list[TimeSeriesSample]:
         raise DataError(
             f"series too short: length {length} needs more than T={t_len} steps"
         )
-    samples = []
-    ones = np.ones((t_len, 1))
-    for i in range(length - t_len):
-        s = series.timestamps[i:i + t_len] - series.timestamps[i]
-        x = series.values[i:i + t_len, None].copy()
-        delta = missingness.compute_intervals(s, ones)
-        samples.append(TimeSeriesSample(x=x, s=s, m=ones.copy(), delta=delta,
-                                        y=float(series.values[i + t_len])))
-    return samples
+    starts = np.arange(length - t_len)
+    steps = starts[:, None] + np.arange(t_len)
+    s = series.timestamps[steps] - series.timestamps[starts, None]
+    x = series.values[steps][..., None]
+    delta = missingness.observed_intervals(s, 1)
+    m = np.ones(x.shape)
+    return [TimeSeriesSample(x=x[i], s=s[i], m=m[i], delta=delta[i],
+                             y=float(series.values[i + t_len]))
+            for i in starts.tolist()]
 
 
 def _round_half_up(x: float) -> int:

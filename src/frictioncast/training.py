@@ -9,12 +9,12 @@ restored when early stopping fires.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import missingness, network
-from .errors import ConfigError, DataError, DivergenceError
+from .errors import ConfigError, DataError, DivergenceError, ShapeError
 from .linalg import new_rng
 from .metrics import EvalReport, compute_metrics
 from .timeseries import DatasetSplit, TimeSeriesSample
@@ -100,14 +100,21 @@ def _prepare_inputs(samples: list[TimeSeriesSample], variant: str,
     if imputation not in IMPUTATIONS:
         raise ConfigError(f"unknown imputation {imputation!r}; "
                           f"one of {sorted(IMPUTATIONS)}")
-    impute = IMPUTATIONS[imputation]
-    out = []
-    for s in samples:
-        filled = impute(s.view(), stats)
-        out.append(replace(s, x=filled, m=np.ones_like(s.m),
-                           delta=missingness.compute_intervals(
-                               s.s, np.ones_like(s.m))))
-    return out
+    # the imputers are elementwise: one call fills the stacked split, and
+    # the filled windows' intervals are their timestamp gaps
+    try:
+        x, m, stamps, delta = (np.array([getattr(s, k) for s in samples])
+                               for k in ("x", "m", "s", "delta"))
+    except ValueError as exc:
+        raise ShapeError(f"windows of different shapes in one split: {exc}"
+                         ) from exc
+    filled = IMPUTATIONS[imputation](
+        missingness.MaskedView(x=x, m=m, s=stamps, delta=delta), stats)
+    gaps = missingness.observed_intervals(stamps, x.shape[2])
+    ones = np.ones(x.shape)
+    return [TimeSeriesSample(x=filled[i], s=sample.s, m=ones[i],
+                             delta=gaps[i], y=sample.y)
+            for i, sample in enumerate(samples)]
 
 
 def _mean_loss(model: network.Model, samples: list[TimeSeriesSample]) -> float:

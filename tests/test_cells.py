@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -106,8 +107,7 @@ def test_gate_and_candidate_ranges():
     for _ in range(20):
         p = cells.init_gru(1, 4, rng)
         _, cache = gru_one(p, rng.standard_normal(1), rng.standard_normal(4))
-        assert np.all((cache["r"] > 0) & (cache["r"] < 1))
-        assert np.all((cache["z"] > 0) & (cache["z"] < 1))
+        assert np.all((cache["rz"] > 0) & (cache["rz"] < 1))  # r and z
         assert np.all((cache["c"] > -1) & (cache["c"] < 1))
 
 
@@ -201,7 +201,7 @@ def test_grud_backward_reduces_to_gru():
         wd, (out_d,) = window_weight_grads("gru-d", grud, cd, dh)
         gates_g, dh_g, dx_g = out_g
         gates_d, dh_d, _, dx_hat = out_d
-        assert all(np.array_equal(gates_g[k], gates_d[k]) for k in "rzc")
+        assert np.array_equal(gates_g, gates_d)  # rows r, z, c
         assert all(np.array_equal(wg[k], wd[k]) for k in gru.tensors())
         # with m = 1 the input grad is the one at the decayed input
         assert np.array_equal(dh_g, dh_d) and np.array_equal(dx_g, dx_hat)
@@ -361,28 +361,29 @@ def numeric_step_grads(step_fn, params, eps=1e-5):
 def window_weight_grads(kind, p, cache, dh):
     """Weight grads of sum(dh * h_T) over one window's cache [T, ·], by
     tensor name, and what each step's backward kernel returned: the kernels
-    run back through time, then the per-window gradient rows
-    (`network._weight_rows`) are added up in reverse time order."""
-    t_len = cache["h_prev"].shape[0]
+    run back through time on the window's `backward_cache`, then the
+    per-window gradient rows (`network._weight_rows`) are added up in
+    reverse time order."""
+    bw = cells.backward_cache(kind, cache)
+    t_len = bw["da"].shape[0]
     outs, dc = [None] * t_len, np.zeros_like(dh)
     for t in range(t_len - 1, -1, -1):
         if kind == "lstm":
-            outs[t] = cells.lstm_step_backward(p, cache, t, dh, dc)
+            outs[t] = cells.lstm_step_backward(p, bw, t, dh, dc)
             dc = outs[t][2]
         elif kind == "gru-d":
-            outs[t] = cells.grud_step_backward(p, cache, t, dh)
+            outs[t] = cells.grud_step_backward(p, bw, t, dh)
         else:
-            outs[t] = cells.gru_step_backward(p, cache, t, dh)
+            outs[t] = cells.gru_step_backward(p, bw, t, dh)
         dh = outs[t][1]
-    rows = network._weight_rows(kind, p, cache, outs)
+    n = sum(t.size for t in p.tensors().values())
+    spans = copy.deepcopy(p).bind(np.empty(n))  # each field's gate-fused offset
+    rows = network._weight_rows(kind, p, bw, n)
     total = np.zeros(rows.shape[1])
     for t in range(t_len - 1, -1, -1):
         total += rows[t]
-    grads, start = {}, 0
-    for name, tensor in p.tensors().items():
-        grads[name] = total[start:start + tensor.size].reshape(tensor.shape)
-        start += tensor.size
-    assert start == total.size
+    grads = {name: total[lo:hi].reshape(np.shape(getattr(p, name)))
+             for name, (lo, hi) in spans.items()}
     return grads, outs
 
 
@@ -461,12 +462,86 @@ def test_lstm_backward_matches_finite_differences():
     assert_grads_close(g, numeric)
 
 
+def per_step_gru_backward(p, c, h_prev, dh):
+    """The gated backward step written out on one step's cache row `c`:
+    the association the kernels keep with their per-window factors."""
+    r, z, cand = c["rz"][0], c["rz"][1], c["c"]
+    dz = dh * (cand - h_prev)
+    dc = dh * z
+    da_c = dc * (1.0 - cand * cand)
+    d_rh = p.u_c.T @ da_c
+    da_r = d_rh * h_prev * r * (1.0 - r)
+    da_z = dz * z * (1.0 - z)
+    dh_prev = dh * (1.0 - z) + d_rh * r + p.u_r.T @ da_r + p.u_z.T @ da_z
+    dx = p.w_c.T @ da_c + p.w_r.T @ da_r + p.w_z.T @ da_z
+    return np.array([da_r, da_z, da_c]), dh_prev, dx
+
+
+def per_step_lstm_backward(p, c, dh, dc_in):
+    """The LSTM backward step written out on one step's cache row `c`."""
+    f, i, o = c["fio"]
+    gc, tc = c["gc"], c["tc"]
+    dc = dc_in + dh * o * (1.0 - tc * tc)
+    da = np.array([dc * c["c_prev"] * f * (1.0 - f), dc * gc * i * (1.0 - i),
+                   dh * tc * o * (1.0 - o), dc * i * (1.0 - gc * gc)])
+    dh_prev = (0.0 + p.u_f.T @ da[0] + p.u_i.T @ da[1] + p.u_o.T @ da[2]
+               + p.u_g.T @ da[3])
+    dx = (0.0 + p.w_f.T @ da[0] + p.w_i.T @ da[1] + p.w_o.T @ da[2]
+          + p.w_g.T @ da[3])
+    return da, dh_prev, dc * f, dx
+
+
+@pytest.mark.parametrize("kind", ["gru", "gru-d", "lstm"])
+def test_backward_steps_keep_the_per_step_association(kind):
+    """With the cache-only factors formed once per window, every step's
+    gate grads, state grads and input grad equal the per-step expressions
+    bit for bit (H = 5, D = 2, a six-step window)."""
+    rng = new_rng(27)
+    d, h_dim, t_len = 2, 5, 6
+    init = {"gru": cells.init_gru, "lstm": cells.init_lstm,
+            "gru-d": lambda d, h, rng: cells.init_grud(d, h, rng, np.full(d, 0.5))}
+    p = init[kind](d, h_dim, rng)
+    for t in p.tensors().values():
+        t[...] = rng.standard_normal(t.shape)
+    x = rng.standard_normal((t_len, d))
+    h0 = rng.standard_normal(h_dim)
+    if kind == "gru-d":
+        m = (rng.random((t_len, d)) > 0.4).astype(float)
+        delta = rng.uniform(0.5, 3.0, (t_len, d))
+        cache = grud_one(p, np.where(m > 0.5, x, np.nan), m, delta, h0)[1]
+    elif kind == "lstm":
+        cache = window(cells.lstm_layer(p, x[None], h0[None],
+                                        rng.standard_normal((1, h_dim)))[1])
+    else:
+        cache = window(cells.gru_layer(p, x[None], h0[None])[1])
+    bw = cells.backward_cache(kind, cache)
+    dh, dc = rng.standard_normal(h_dim), rng.standard_normal(h_dim)
+    for t in range(t_len - 1, -1, -1):
+        c = {k: v[t] for k, v in cache.items()}
+        if kind == "lstm":
+            got = cells.lstm_step_backward(p, bw, t, dh, dc)
+            want = per_step_lstm_backward(p, c, dh, dc)
+            dc = got[2]
+        elif kind == "gru-d":
+            da, dh_prev, dh_hat, dx_hat = cells.grud_step_backward(p, bw, t, dh)
+            got = da, dh_hat, dx_hat
+            want = per_step_gru_backward(p, c, c["h_hat"], dh)
+            assert np.array_equal(dh_prev, dh_hat * c["gamma_h"])
+        else:
+            got = cells.gru_step_backward(p, bw, t, dh)
+            want = per_step_gru_backward(p, c, c["h_prev"], dh)
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a, b) and not np.any(np.signbit(a) != np.signbit(b))
+        dh = got[1] if kind != "gru-d" else dh_prev
+
+
 def test_zero_upstream_gradient_gives_zero_grads():
     rng = new_rng(24)
     p = cells.init_gru(1, 3, rng)
     _, cache = gru_one(p, rng.standard_normal(1), rng.standard_normal(3))
-    g, dh_prev, dx = cells.gru_step_backward(p, cache, 0, np.zeros(3))
-    assert all(np.all(t == 0) for t in g.values())
+    g, dh_prev, dx = cells.gru_step_backward(
+        p, cells.backward_cache("gru", cache), 0, np.zeros(3))
+    assert np.all(g == 0)
     assert np.all(dh_prev == 0) and np.all(dx == 0)
 
 

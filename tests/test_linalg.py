@@ -48,6 +48,10 @@ def test_sigmoid_equals_the_split_form_bit_for_bit():
     assert np.array_equal(linalg.sigmoid(v), split_sigmoid(v), equal_nan=True)
     assert np.array_equal(np.signbit(linalg.sigmoid(v[:-1])),
                           np.signbit(split_sigmoid(v[:-1])))
+    # in place, as the gated cells call it
+    w = v.copy()
+    assert linalg.sigmoid(w, w) is w
+    assert np.array_equal(w, split_sigmoid(v), equal_nan=True)
 
 
 def test_rng_streams_bit_reproducible():

@@ -196,23 +196,24 @@ def test_bptt_matches_finite_differences_closely():
 
 def per_step_reference(kind, layer, cache, outs):
     """Each tensor's gradient as a reverse-time `+=` of per-step
-    `np.outer(factor, operand)` terms on the factors the step kernels returned
-    (`outs`, in time order), reading row t of the window's cache [T, ·]: the
-    association the window rows must keep."""
+    `np.outer(factor, operand)` terms on the gate-gradient rows [G, H] the
+    step kernels left in their buffer (`outs`, each step's return in time
+    order), reading row t of the window's cache [T, ·]: the association the
+    window rows must keep."""
     ref = {name: np.zeros_like(t) for name, t in layer.tensors().items()}
+    gates = "fiog" if kind == "lstm" else "rzc"
     for t in range(len(outs) - 1, -1, -1):
         c = {k: v[t] for k, v in cache.items()}
-        gates = outs[t][0]
         x, h = (c["x_hat"], c["h_hat"]) if kind == "gru-d" else (c["x"], c["h_prev"])
         terms = {}
-        for g, f in gates.items():
+        for g, f in zip(gates, outs[t][0], strict=True):
             terms[f"w_{g}"] = np.outer(f, x)
-            terms[f"u_{g}"] = np.outer(f, c["r"] * h if g == "c" else h)
+            terms[f"u_{g}"] = np.outer(f, c["rz"][0] * h if g == "c" else h)
             terms[f"b_{g}"] = f
         if kind == "gru-d":
-            _, _, dh_hat, dx_hat = outs[t]
-            for g in "rzc":
-                terms[f"v_{g}"] = np.outer(gates[g], c["m"])
+            da, _, dh_hat, dx_hat = outs[t]
+            for g, f in zip(gates, da):
+                terms[f"v_{g}"] = np.outer(f, c["m"])
             da_h = np.where(c["pre_h"] > 0.0,
                             -c["gamma_h"] * (dh_hat * c["h_prev"]), 0.0)
             dgamma_x = dx_hat * (1.0 - c["m"]) * (c["x_last"] - layer.x_mean)
@@ -241,20 +242,20 @@ def test_window_weight_grads_keep_the_per_step_association(variant, depth,
         layer.w_decay_h[...] = np.abs(layer.w_decay_h)
     sample = make_sample(rng, missing=0.5 if variant == "gru-d" else 0.0)
 
-    outs = {}  # each step kernel's return, by the id of the cache and step
+    outs = {}  # each step kernel's return, by the id of the layer and step
     for name in ("gru_step_backward", "grud_step_backward",
                  "lstm_step_backward"):
-        def record(p, cache, t, *args, _kernel=getattr(cells, name), **kw):
-            outs[id(cache), t] = _kernel(p, cache, t, *args, **kw)
-            return outs[id(cache), t]
+        def record(p, bw, t, *args, _kernel=getattr(cells, name), **kw):
+            outs[id(p), t] = _kernel(p, bw, t, *args, **kw)
+            return outs[id(p), t]
         monkeypatch.setattr(cells, name, record)
     _, trace = network.forward(model, sample)
     grads = model.unflatten(network.backward(model, trace, sample.y))
     for li, layer in enumerate(model.layers):
-        cache = trace["caches"][li]
         ref = per_step_reference(network._layer_kind(model.spec, li), layer,
-                                 cache, [outs[id(cache), t]
-                                         for t in range(len(sample.x))])
+                                 trace["caches"][li],
+                                 [outs[id(layer), t]
+                                  for t in range(len(sample.x))])
         for name, want in ref.items():
             got = grads[f"layers.{li}.{name}"]
             assert np.array_equal(got, want), f"layers.{li}.{name}"
@@ -402,20 +403,30 @@ def test_forward_shape_check():
 # --- one parameter vector ----------------------------------------------------
 
 def assert_fields_are_views_of_theta(model):
-    """Every field the kernels read is a view into theta, at its own offset."""
+    """Every field the kernels read is theta[start:stop] of its layout
+    entry, the entries tile theta, and each fused block is a view of theta
+    whose row g is the gate-g field."""
     fields = {f"layers.{i}.{name}": t for i, layer in enumerate(model.layers)
               for name, t in layer.tensors().items()}
     fields["head.w"] = model.head_w
     fields["head.b"] = model.head_b
-    named = model.named_tensors()
-    assert list(fields) == list(named)
-    for name, t in fields.items():
-        assert np.shares_memory(t, model.theta), name
-        assert np.shares_memory(named[name], model.theta), name
+    assert list(fields) == [name for name, *_ in model._layout]
+    assert list(model.named_tensors()) == list(fields)
+    spans = sorted((start, stop) for _, start, stop, _ in model._layout)
+    assert [stop for _, stop in spans[:-1]] == [start for start, _ in spans[1:]]
+    assert (spans[0][0], spans[-1][1]) == (0, model.theta.size)
     saved = model.theta.copy()
-    model.theta[...] = np.arange(model.theta.size)
-    flat = np.concatenate([t.reshape(-1) for t in fields.values()])
-    assert np.array_equal(flat, np.arange(model.theta.size))
+    model.theta[...] = np.arange(model.theta.size)  # each entry its index
+    for name, start, stop, shape in model._layout:
+        assert fields[name].shape == shape, name
+        assert np.array_equal(fields[name].reshape(-1),
+                              np.arange(start, stop)), name
+    for layer in model.layers:
+        for block, names in layer._BLOCKS:
+            view = getattr(layer, block)
+            assert view.shape[0] == len(names) and view.base is not None
+            for g, name in enumerate(names):
+                assert np.array_equal(view[g], getattr(layer, name)), name
     model.theta[...] = saved
 
 
@@ -433,6 +444,32 @@ def test_trainable_fields_are_views_of_theta(variant, tmp_path):
     assert_fields_are_views_of_theta(twin)
     assert not np.shares_memory(twin.theta, model.theta)
     assert np.array_equal(twin.theta, model.theta)
+
+
+GATED_V1 = ["w_r", "u_r", "b_r", "w_z", "u_z", "b_z", "w_c", "u_c", "b_c"]
+MODEL_JSON_V1 = {
+    "gru": [f"layers.0.{n}" for n in GATED_V1],
+    "gru-d": [f"layers.0.{n}" for n in GATED_V1]
+    + ["layers.0.v_r", "layers.0.v_z", "layers.0.v_c", "layers.0.w_decay_x",
+       "layers.0.b_decay_x", "layers.0.w_decay_h", "layers.0.b_decay_h"]
+    + [f"layers.1.{n}" for n in GATED_V1],
+    "lstm": ["layers.0.w_f", "layers.0.u_f", "layers.0.b_f", "layers.0.w_i",
+             "layers.0.u_i", "layers.0.b_i", "layers.0.w_o", "layers.0.u_o",
+             "layers.0.b_o", "layers.0.w_g", "layers.0.u_g", "layers.0.b_g"],
+    "ffnn": ["layers.0.w", "layers.0.b", "layers.1.w", "layers.1.b"],
+}
+
+
+@pytest.mark.parametrize("variant", network.VARIANTS)
+def test_model_json_keeps_the_v1_tensor_keys_in_order(variant, tmp_path):
+    depth = 2 if variant == "gru-d" else 1
+    model = network.build_model(
+        network.ModelSpec(variant, hidden_size=3, recurrent_depth=depth),
+        new_rng(21), x_mean=np.array([0.5]))
+    network.save_model(model, tmp_path / "model.json")
+    doc = json.loads((tmp_path / "model.json").read_text(encoding="utf-8"))
+    assert doc["version"] == 1
+    assert list(doc["tensors"]) == MODEL_JSON_V1[variant] + ["head.w", "head.b"]
 
 
 def test_kink_mask_covers_exactly_the_near_kink_decay_elements():

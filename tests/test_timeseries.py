@@ -94,6 +94,24 @@ def test_window_contents():
     assert s0.delta[0, 0] == 0.0
 
 
+def test_window_intervals_equal_the_per_window_recurrence():
+    """On irregular days each window's intervals, built from its gaps, are
+    what the interval recurrence gives on its rebased timestamps."""
+    from frictioncast.missingness import compute_intervals
+    rng = np.random.default_rng(3)
+    days = np.cumsum(rng.uniform(0.1, 5.0, 40))
+    series = ts.SegmentSeries(segment_id="s", values=rng.random(40),
+                              timestamps=days)
+    samples = ts.window(series, 7)
+    assert len(samples) == 33
+    for i, w in enumerate(samples):
+        assert np.array_equal(w.s, days[i:i + 7] - days[i])
+        assert np.array_equal(w.x[:, 0], series.values[i:i + 7])
+        assert np.array_equal(w.delta, compute_intervals(w.s, np.ones((7, 1))))
+        assert w.m.shape == (7, 1) and np.all(w.m == 1.0)
+        assert w.y == series.values[i + 7]
+
+
 def test_window_count_property():
     for length in (9, 15, 40):
         for t_len in (2, 7):

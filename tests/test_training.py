@@ -207,3 +207,57 @@ def test_evaluate_requires_nonempty_and_stats():
         training.evaluate(model, [], None)
     with pytest.raises(ConfigError, match="train"):
         training.evaluate(model, small_split().test, None)
+
+
+# --- input preparation -------------------------------------------------------
+
+def irregular_windows(rng, n=9, t_len=6, d=2, missing=0.5):
+    """Windows on irregular timestamps with i.i.d. missing entries."""
+    from frictioncast import missingness
+    out = []
+    for _ in range(n):
+        s = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 4.0, t_len - 1))])
+        m = (rng.random((t_len, d)) >= missing).astype(float)
+        x = np.where(m > 0.5, rng.random((t_len, d)), np.nan)
+        out.append(timeseries.TimeSeriesSample(
+            x=x, s=s, m=m, delta=missingness.compute_intervals(s, m),
+            y=float(rng.random())))
+    return out
+
+
+@pytest.mark.parametrize("imputation", sorted(training.IMPUTATIONS))
+def test_prepare_inputs_equals_the_per_window_path(imputation):
+    """One imputer call over the stacked split and the timestamp gaps as
+    intervals give, bit for bit, what imputing each window and recomputing
+    its intervals gives."""
+    from frictioncast import missingness
+    rng = new_rng(50)
+    samples = irregular_windows(rng)
+    stats = missingness.empirical_mean([s.view() for s in samples])
+    got = training._prepare_inputs(samples, "gru", imputation, stats)
+    impute = training.IMPUTATIONS[imputation]
+    assert len(got) == len(samples)
+    for g, s in zip(got, samples):
+        assert np.array_equal(g.x, impute(s.view(), stats))
+        assert np.array_equal(g.m, np.ones_like(s.m))
+        assert np.array_equal(g.delta, missingness.compute_intervals(
+            s.s, np.ones_like(s.m)))
+        assert np.array_equal(g.s, s.s) and g.y == s.y
+        assert not np.any(np.isnan(g.x))
+
+
+def test_prepare_inputs_rejects_windows_that_do_not_stack_or_increase():
+    from frictioncast import missingness
+    from frictioncast.errors import ShapeError
+    rng = new_rng(51)
+    samples = irregular_windows(rng)
+    stats = missingness.empirical_mean([s.view() for s in samples])
+    short = irregular_windows(rng, n=1, t_len=4)
+    with pytest.raises(ShapeError):
+        training._prepare_inputs(samples + short, "gru", "last", stats)
+    stalled = samples[0]
+    stalled = timeseries.TimeSeriesSample(
+        x=stalled.x, s=np.concatenate([[0.0, 0.0], stalled.s[2:]]),
+        m=stalled.m, delta=stalled.delta, y=stalled.y)
+    with pytest.raises(DataError, match="strictly increasing"):
+        training._prepare_inputs([stalled] + samples, "gru", "last", stats)
