@@ -1,10 +1,11 @@
-"""Print the six sha256 hashes of the byte-identity recipe.
+"""Print the seven sha256 hashes of the byte-identity recipe.
 
 A change that claims "same behaviour" must leave these outputs byte-identical:
 `results.csv` and `aggregates.csv` of a small benchmark grid (gru-d, gru with
-each imputer, depth-2 lstm and ffnn at two missing rates), `model.json`,
-`loss_curves.csv` and `decay_curve.csv` of one gru-d `train` job, and the
-stdout of `gradcheck --seed 0 --draws 5`. Every command runs through the CLI
+each imputer, depth-2 lstm and ffnn at two missing rates), the
+`synthetic.csv` that `synth` writes for that grid's config (its series),
+`model.json`, `loss_curves.csv` and `decay_curve.csv` of one gru-d `train`
+job, and the stdout of `gradcheck --seed 0 --draws 5`. Every command runs through the CLI
 with single-threaded BLAS. The hashes depend on the numpy/BLAS build, so
 compare two source trees on one machine rather than against fixed values:
 
@@ -66,19 +67,21 @@ def _cli(src: Path, work: Path, *args: str) -> bytes:
 
 
 def identity_hashes(src: Path) -> dict[str, str]:
-    """The six output hashes of the recipe run on the package in `src`."""
+    """The seven output hashes of the recipe run on the package in `src`."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         (work / "bench.json").write_text(json.dumps(BENCH_CONFIG))
         (work / "train.json").write_text(json.dumps(TRAIN_CONFIG))
         _cli(src, work, "benchmark", "--config", "bench.json", "--out", "b",
              "--seed", "7")
+        _cli(src, work, "synth", "--config", "bench.json", "--out", "s",
+             "--seed", "7")
         _cli(src, work, "train", "--config", "train.json", "--out", "t",
              "--seed", "7")
         _cli(src, work, "decay-curve", "--model", "t/model.json", "--out", "t")
         gradcheck = _cli(src, work, "gradcheck", "--seed", "0", "--draws", "5")
-        files = ["b/results.csv", "b/aggregates.csv", "t/model.json",
-                 "t/loss_curves.csv", "t/decay_curve.csv"]
+        files = ["b/results.csv", "b/aggregates.csv", "s/synthetic.csv",
+                 "t/model.json", "t/loss_curves.csv", "t/decay_curve.csv"]
         out = {f: hashlib.sha256((work / f).read_bytes()).hexdigest()
                for f in files}
         out["gradcheck stdout"] = hashlib.sha256(gradcheck).hexdigest()

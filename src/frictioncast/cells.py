@@ -1,7 +1,7 @@
 """Forward/backward kernels for the recurrent cells, over batches of windows.
 
 Implements the plain gated recurrent cell, its decay-mechanism variant for
-missing data, a standard LSTM for the baseline, and a dense layer for the
+missing data, a standard LSTM for the baseline, and a tanh layer for the
 feed-forward baseline. Both gated recurrent cells share one private gate
 update and its backward pass; the decay cell is a preamble over it that
 decays the input and the carried state and adds the mask terms V·m to each
@@ -144,8 +144,6 @@ class LstmParams(_Params):
 class DenseParams(_Params):
     w: np.ndarray  # [out, in]
     b: np.ndarray  # [out]
-    # "tanh" or "identity"
-    activation: str = field(default="tanh", metadata={"trained": False})
 
 
 def _decay(w: np.ndarray, b: np.ndarray, delta: np.ndarray):
@@ -470,7 +468,7 @@ def dense_step(p: DenseParams, x: np.ndarray):
     if p.w.shape[1] != x.shape[-1]:
         raise ShapeError(f"dense: weights {p.w.shape} vs input {x.shape}")
     a = (p.w @ x[..., None])[..., 0] + p.b
-    y = np.tanh(a) if p.activation == "tanh" else a
+    y = np.tanh(a)
     return y, {"x": x, "y": y}
 
 
@@ -479,7 +477,7 @@ def dense_step_backward(p: DenseParams, cache: dict, dy: np.ndarray,
     """Weight grads and the input grad (None unless `input_grad`) of one
     window's row of the layer."""
     x, y = cache["x"], cache["y"]
-    da = dy * (1.0 - y * y) if p.activation == "tanh" else dy
+    da = dy * (1.0 - y * y)
     g = {"w": da[:, None] * x, "b": da}  # np.outer's products
     return g, p.w.T @ da if input_grad else None
 
@@ -528,6 +526,5 @@ def init_lstm(d: int, h: int, rng) -> LstmParams:
     )
 
 
-def init_dense(d_in: int, d_out: int, rng, activation: str = "tanh") -> DenseParams:
-    return DenseParams(w=_weight(rng, d_out, d_in), b=np.zeros(d_out),
-                       activation=activation)
+def init_dense(d_in: int, d_out: int, rng) -> DenseParams:
+    return DenseParams(w=_weight(rng, d_out, d_in), b=np.zeros(d_out))

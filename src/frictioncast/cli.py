@@ -8,7 +8,7 @@ resolved configuration is written beside them.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -37,27 +37,42 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _positive_int(text: str) -> int:
+def _int_from(low: int):
+    """An argparse type: an integer of at least `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+def _finite_float(text: str) -> float:
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
     return value
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON configuration file")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="master seed")
+    p.add_argument("--seed", type=_int_from(0), help="master seed")
 
 
 def cmd_synth(args) -> int:
     config = _load_config(args)
+    if config.csv_path is not None:
+        raise ConfigError(f"{args.config}: synth needs data.synth, not data.csv")
     out = _out_dir(args)
-    base = config.synth or timeseries.SynthConfig()
-    series = [timeseries.synthesize(dataclasses.replace(base, seed=base.seed + i))
+    series = [experiments.synth_series(config, i)
               for i in range(config.n_seeds)]
     path = out / "synthetic.csv"
     experiments.write_series_csv(series, path)
@@ -128,8 +143,7 @@ def cmd_decay_curve(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    rng = new_rng(seed)
+    rng = new_rng(args.seed)
     worst = {}
     for variant in network.VARIANTS:
         spec = network.ModelSpec(variant=variant, input_dim=1, hidden_size=4,
@@ -146,7 +160,7 @@ def cmd_gradcheck(args) -> int:
                 model.layers[0].b_decay_h[...] = rng.standard_normal(4) * 0.5
             sample = _random_sample(rng, t_len=7,
                                     with_missing=(variant == "gru-d"))
-            errs.append(network.gradient_check(model, sample, eps=1e-5))
+            errs.append(network.gradient_check(model, sample))
         worst[variant] = max(errs)
         print(f"{variant}: max relative error {worst[variant]:.3e} "
               f"over {args.draws} draws")
@@ -187,19 +201,19 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
         if name in ("benchmark", "sweep"):  # the only grid-running commands
-            p.add_argument("--threads", type=_positive_int, default=1,
+            p.add_argument("--threads", type=_int_from(1), default=1,
                            help="parallel jobs")
         p.set_defaults(func=func)
 
     p = sub.add_parser("decay-curve", help="export the learned input decay")
     p.add_argument("--model", required=True, help="trained model.json")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--delta-max", type=float, default=35.0)
+    p.add_argument("--delta-max", type=_finite_float, default=35.0)
     p.set_defaults(func=cmd_decay_curve)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--draws", type=_positive_int, default=5)
+    p.add_argument("--seed", type=_int_from(0), default=0)
+    p.add_argument("--draws", type=_int_from(1), default=5)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

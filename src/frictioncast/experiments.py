@@ -28,6 +28,8 @@ RESULT_COLUMNS = ["model", "imputation", "missing_rate", "seed",
 AGG_COLUMNS = ["model", "imputation", "missing_rate", "n_seeds",
                "mae_mean", "mae_se", "mse_mean", "mse_se",
                "mape_mean", "mape_se"]
+DECAY_CURVE_STEP = 0.5  # days between the points of a decay curve
+MAX_DECAY_CURVE_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,11 @@ class ExperimentConfig:
                               "in [0, 1)")
         if self.n_seeds < 1:
             raise ConfigError("n_seeds must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.synth is not None and self.csv_path is not None:
+            raise ConfigError("data.csv and data.synth exclude each other: "
+                              "a CSV run would ignore the synth block")
         if self.synth is None and self.csv_path is None:
             object.__setattr__(self, "synth", timeseries.SynthConfig())
 
@@ -86,10 +93,13 @@ _KIND_NAMES = {int: "an integer", float: "a number", str: "a string",
 
 def _checked(value, kind: type, key: str):
     """`value` unchanged if it is a JSON value of `kind`; an integer is a valid
-    number, a bool is nothing but a bool."""
+    number, a bool is nothing but a bool, and NaN or an infinity (which
+    Python's json reads) is none."""
     valid = isinstance(value, (int, float) if kind is float else kind)
     if isinstance(value, bool) or not valid:
         raise ConfigError(f"{key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key!r} must be a finite number, got {value!r}")
     return value
 
 
@@ -112,7 +122,11 @@ def _dataclass_from(cls, value, where: str):
     default."""
     kinds = {f.name: type(f.default) for f in dataclasses.fields(cls)}
     doc = _object(value, where, tuple(kinds))
-    return cls(**{k: _checked(v, kinds[k], f"{where}.{k}") for k, v in doc.items()})
+    values = {k: _checked(v, kinds[k], f"{where}.{k}") for k, v in doc.items()}
+    try:
+        return cls(**values)
+    except ConfigError as exc:  # a range check, opening with the field name
+        raise ConfigError(f"{where}.{exc}") from exc
 
 
 def _model_entry(value, where: str) -> ModelEntry:
@@ -235,12 +249,16 @@ def csv_series(config: ExperimentConfig) -> list[timeseries.SegmentSeries] | Non
     return list(timeseries.ingest_csv(config.csv_path).values())
 
 
+def synth_series(config: ExperimentConfig, seed: int) -> timeseries.SegmentSeries:
+    """The synthetic series the grid trains on for `seed`."""
+    return timeseries.synthesize(config.synth,
+                                 _seed_for(config.seed, _TAG_SERIES, seed))
+
+
 def _series_for(config: ExperimentConfig, seed: int) -> list[timeseries.SegmentSeries]:
     if config.csv_path is not None:
         return csv_series(config)
-    synth = dataclasses.replace(config.synth,
-                                seed=_seed_for(config.seed, _TAG_SERIES, seed))
-    return [timeseries.synthesize(synth)]
+    return [synth_series(config, seed)]
 
 
 def _model_spec(config: ExperimentConfig, entry: ModelEntry) -> network.ModelSpec:
@@ -284,9 +302,9 @@ def run_single(config: ExperimentConfig, entry: ModelEntry, rate: float,
         spec = _model_spec(config, entry)
         model = network.build_model(
             spec, new_rng(_seed_for(master, _TAG_PARAMS, seed, seg_idx)))
-        train_cfg = dataclasses.replace(
-            config.train, seed=_seed_for(master, _TAG_TRAIN, seed, seg_idx))
-        model, report = training.train(model, splits, entry.imputation, train_cfg)
+        model, report = training.train(
+            model, splits, entry.imputation, config.train,
+            _seed_for(master, _TAG_TRAIN, seed, seg_idx))
         ev = training.evaluate(model, splits.test, entry.imputation)
         reports.append(report)
         metrics_rows.append((ev.mae, ev.mse, ev.mape_percent))
@@ -329,16 +347,20 @@ def sweep_missing_rates(config: ExperimentConfig, threads: int = 1) -> ResultsTa
     return run_benchmark(config, threads=threads)
 
 
-def export_decay_curve(model: network.Model, delta_max: float,
-                       step: float = 0.5) -> list[tuple[float, float]]:
+def export_decay_curve(model: network.Model,
+                       delta_max: float) -> list[tuple[float, float]]:
     """Learned input-decay rate as (interval, rate) pairs, one variable."""
     if model.spec.variant != "gru-d":
         raise ConfigError("decay curves exist only for the gru-d variant")
-    if delta_max <= 0 or step <= 0:
-        raise ConfigError("delta_max and step must be positive")
+    if not 0 < delta_max < math.inf:
+        raise ConfigError(f"delta_max must be positive and finite, "
+                          f"got {delta_max}")
+    n = int(math.floor(delta_max / DECAY_CURVE_STEP + 1e-9)) + 1
+    if n > MAX_DECAY_CURVE_POINTS:
+        raise ConfigError(f"delta_max {delta_max:g} gives a curve of {n} "
+                          f"points, more than {MAX_DECAY_CURVE_POINTS}")
     p = model.layers[0]
-    n = int(math.floor(delta_max / step + 1e-9)) + 1
-    deltas = np.arange(n) * step
+    deltas = np.arange(n) * DECAY_CURVE_STEP
     gammas = cells.decay_rate(p.w_decay_x[:1], p.b_decay_x[:1], deltas)
     return list(zip(deltas.tolist(), gammas.tolist()))
 
@@ -391,11 +413,8 @@ def write_decay_curve_csv(curve: list[tuple[float, float]], path) -> None:
             w.writerow([_fmt(d), _fmt(gamma)])
 
 
-def write_manifest(config: ExperimentConfig, path, command: str,
-                   extra: dict | None = None) -> None:
+def write_manifest(config: ExperimentConfig, path, command: str) -> None:
     doc = {"command": command, "config": config_to_json(config)}
-    if extra:
-        doc.update(extra)
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")

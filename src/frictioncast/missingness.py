@@ -60,9 +60,7 @@ def compute_intervals(s: np.ndarray, m: np.ndarray) -> np.ndarray:
     """
     s = np.asarray(s, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim == 1:
-        m = m[:, None]
-    if s.ndim != 1 or m.shape[0] != s.shape[0]:
+    if s.ndim != 1 or m.ndim != 2 or m.shape[0] != s.shape[0]:
         raise DataError(f"timestamps {s.shape} do not match mask {m.shape}")
     delta = observed_intervals(s, m.shape[1])
     # only a step that follows a missing entry carries an interval over;

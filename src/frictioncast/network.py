@@ -38,6 +38,7 @@ VARIANTS = ("gru", "gru-d", "lstm", "ffnn")
 
 MODEL_FORMAT = "frictioncast-model"
 MODEL_FORMAT_VERSION = 1
+GRADCHECK_EPS = 1e-5  # the finite-difference step of `gradient_check`
 
 
 @dataclass(frozen=True)
@@ -149,15 +150,22 @@ def _layer_kind(spec: ModelSpec, layer_idx: int) -> str:
     return spec.variant
 
 
-def _run(model: Model, samples: list[TimeSeriesSample]):
-    """The forward pass over B same-length windows, layer by layer:
-    (predictions [B], each layer's cache of [B, ·] arrays, h_final [B, H])."""
-    spec = model.spec
+def stack_windows(samples: list[TimeSeriesSample],
+                  *keys: str) -> tuple[np.ndarray, ...]:
+    """The fields `keys` of same-shape windows, each stacked on a leading
+    batch axis."""
     try:
-        x = np.array([s.x for s in samples])
+        return tuple(np.array([getattr(s, k) for s in samples]) for k in keys)
     except ValueError as exc:
         raise ShapeError(f"windows of different shapes in one batch: {exc}"
                          ) from exc
+
+
+def _run(model: Model, x: np.ndarray, m: np.ndarray, delta: np.ndarray):
+    """The forward pass over B same-length windows (inputs, mask and
+    intervals, each [B, T, D]), layer by layer: (predictions [B], each
+    layer's cache of [B, ·] arrays, h_final [B, H])."""
+    spec = model.spec
     if x.ndim != 3 or x.shape[2] != spec.input_dim:
         raise ShapeError(
             f"sample has {x.shape[-1]} variables, model expects {spec.input_dim}"
@@ -169,7 +177,7 @@ def _run(model: Model, samples: list[TimeSeriesSample]):
 
     caches = []
     if spec.variant == "ffnn":
-        v = x.reshape(len(samples), -1)
+        v = x.reshape(len(x), -1)
         if v.shape[1] != model.layers[0].w.shape[1]:
             raise ShapeError(
                 f"window length {x.shape[1]} does not match the configured "
@@ -184,9 +192,7 @@ def _run(model: Model, samples: list[TimeSeriesSample]):
         for li, layer in enumerate(model.layers):
             kind = _layer_kind(spec, li)
             if kind == "gru-d":
-                v, cache = cells.grud_layer(
-                    layer, x, np.array([s.m for s in samples]),
-                    np.array([s.delta for s in samples]))
+                v, cache = cells.grud_layer(layer, x, m, delta)
             elif kind == "gru":
                 v, cache = cells.gru_layer(layer, v)
             else:  # lstm
@@ -200,7 +206,8 @@ def _run(model: Model, samples: list[TimeSeriesSample]):
 def forward(model: Model, sample: TimeSeriesSample):
     """Unroll the model over one window; returns (prediction, trace), the
     trace holding each layer's cache for `backward` ([T, ·] arrays)."""
-    y_hat, caches, h_final = _run(model, [sample])
+    y_hat, caches, h_final = _run(model, sample.x[None], sample.m[None],
+                                  sample.delta[None])
     trace = {"caches": [{k: v[0] for k, v in cache.items()}
                         for cache in caches],
              "h_final": h_final[0], "y_hat": float(y_hat[0])}
@@ -210,7 +217,7 @@ def forward(model: Model, sample: TimeSeriesSample):
 def predict(model: Model, samples: list[TimeSeriesSample]) -> np.ndarray:
     """Predictions [B] of B same-length windows in one forward pass; entry b
     equals `forward(model, samples[b])[0]` bit for bit."""
-    return _run(model, samples)[0]
+    return _run(model, *stack_windows(samples, "x", "m", "delta"))[0]
 
 
 def loss_mse(y_hat: float, y: float) -> float:
@@ -318,7 +325,7 @@ def backward(model: Model, trace: dict, y: float) -> np.ndarray:
     return grad
 
 
-def _kink_excluded(model: Model, trace: dict, eps: float) -> np.ndarray:
+def _kink_excluded(model: Model, trace: dict) -> np.ndarray:
     """Mask over theta of the decay-tensor elements whose rectifier sits too
     close to its kink: finite differences straddle the kink there, so the
     comparison is meaningless."""
@@ -327,7 +334,7 @@ def _kink_excluded(model: Model, trace: dict, eps: float) -> np.ndarray:
         return excluded
     cache = trace["caches"][0]
     max_delta = float(np.max(cache["delta"])) if cache["delta"].size else 0.0
-    tol = 10.0 * eps * (1.0 + max_delta)
+    tol = 10.0 * GRADCHECK_EPS * (1.0 + max_delta)
     near_x = np.any(np.abs(cache["pre_x"]) < tol, axis=0)
     near_h = np.any(np.abs(cache["pre_h"]) < tol, axis=0)
     views = model.unflatten(excluded)
@@ -338,15 +345,13 @@ def _kink_excluded(model: Model, trace: dict, eps: float) -> np.ndarray:
     return excluded
 
 
-def gradient_check(model: Model, sample: TimeSeriesSample,
-                   eps: float = 1e-5) -> float:
+def gradient_check(model: Model, sample: TimeSeriesSample) -> float:
     """Worst relative error of analytic gradients vs central differences."""
-    if eps <= 0:
-        raise ConfigError("eps must be > 0")
+    eps = GRADCHECK_EPS
     y = sample.y
     y_hat, trace = forward(model, sample)
     analytic = backward(model, trace, y)
-    excluded = _kink_excluded(model, trace, eps)
+    excluded = _kink_excluded(model, trace)
 
     # Central differences carry cancellation noise of roughly
     # macheps * |loss| / (2 * eps) in absolute terms, so components whose

@@ -70,7 +70,6 @@ class SynthConfig:
     noise_std: float = 0.02
     episode_std: float = 0.09
     episode_corr: float = 0.85
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_days < 2:
@@ -189,10 +188,10 @@ def _weather_episodes(rng, n: int, std: float, corr: float) -> np.ndarray:
     return episodes
 
 
-def synthesize(config: SynthConfig) -> SegmentSeries:
+def synthesize(config: SynthConfig, seed: int) -> SegmentSeries:
     """Daily friction-like series: a base level minus a winter well, overlaid
     with persistent weather episodes and day-to-day measurement noise."""
-    rng = new_rng(config.seed)
+    rng = new_rng(seed)
     days = np.arange(config.n_days, dtype=np.float64)
     values = (config.base_friction
               - config.winter_depth * _winter_bump(days, config.winter_center_day,
@@ -201,7 +200,7 @@ def synthesize(config: SynthConfig) -> SegmentSeries:
                                   config.episode_corr)
               + config.noise_std * rng.standard_normal(config.n_days))
     values = np.clip(values, 0.05, 1.0)
-    return SegmentSeries(segment_id=f"synth-{config.seed}", values=values,
+    return SegmentSeries(segment_id=f"synth-{seed}", values=values,
                          timestamps=days)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import missingness, network
-from .errors import ConfigError, DataError, DivergenceError, ShapeError
+from .errors import ConfigError, DataError, DivergenceError
 from .linalg import new_rng
 from .metrics import EvalReport, compute_metrics
 from .timeseries import DatasetSplit, TimeSeriesSample
@@ -34,13 +34,15 @@ class TrainConfig:
     eps_adam: float = 1e-8
     max_epochs: int = 200
     patience: int = 10
-    seed: int = 0
 
     def __post_init__(self):
-        for name in ("learning_rate", "beta1", "beta2", "eps_adam",
-                     "max_epochs", "patience"):
+        for name in ("learning_rate", "eps_adam", "max_epochs", "patience"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        for name in ("beta1", "beta2"):
+            if not 0 < getattr(self, name) < 1:
+                raise ConfigError(f"{name} must lie in (0, 1), got "
+                                  f"{getattr(self, name)}")
         if self.patience >= self.max_epochs:
             raise ConfigError("patience must be smaller than max_epochs")
 
@@ -102,12 +104,7 @@ def _prepare_inputs(samples: list[TimeSeriesSample], variant: str,
                           f"one of {sorted(IMPUTATIONS)}")
     # the imputers are elementwise: one call fills the stacked split, and
     # the filled windows' intervals are their timestamp gaps
-    try:
-        x, m, stamps, delta = (np.array([getattr(s, k) for s in samples])
-                               for k in ("x", "m", "s", "delta"))
-    except ValueError as exc:
-        raise ShapeError(f"windows of different shapes in one split: {exc}"
-                         ) from exc
+    x, m, stamps, delta = network.stack_windows(samples, "x", "m", "s", "delta")
     filled = IMPUTATIONS[imputation](
         missingness.MaskedView(x=x, m=m, s=stamps, delta=delta), stats)
     gaps = missingness.observed_intervals(stamps, x.shape[2])
@@ -126,7 +123,7 @@ def _mean_loss(model: network.Model, samples: list[TimeSeriesSample]) -> float:
 
 
 def train(model: network.Model, splits: DatasetSplit,
-          imputation: str | None, config: TrainConfig):
+          imputation: str | None, config: TrainConfig, seed: int):
     """Optimize until validation loss stalls; returns (best model, report)."""
     if not splits.train or not splits.validation:
         raise DataError("train and validation sets must be non-empty")
@@ -143,7 +140,7 @@ def train(model: network.Model, splits: DatasetSplit,
     best_theta = None
     stale = 0
     for epoch in range(1, config.max_epochs + 1):
-        order = new_rng(config.seed * 1_000_003 + epoch).permutation(len(train_set))
+        order = new_rng(seed * 1_000_003 + epoch).permutation(len(train_set))
         epoch_loss = 0.0
         for i in order:
             sample = train_set[i]

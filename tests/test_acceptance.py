@@ -51,7 +51,7 @@ def test_criterion_1_gradient_exactness():
                 model.layers[0].w_decay_h[...] = 0.5 * rng.standard_normal((4, 1))
                 model.layers[0].b_decay_h[...] = 0.5 * rng.standard_normal(4)
             sample = make_sample(rng, missing=0.5 if variant == "gru-d" else 0.0)
-            errs.append(network.gradient_check(model, sample, eps=1e-5))
+            errs.append(network.gradient_check(model, sample))
         worst[variant] = max(errs)
     elapsed = time.perf_counter() - t0
     detail = ", ".join(f"{v} {e:.2e}" for v, e in worst.items())

@@ -289,13 +289,6 @@ def test_lstm_matches_scalar_oracle():
 
 # --- dense -------------------------------------------------------------------
 
-def test_dense_identity():
-    p = cells.DenseParams(w=np.eye(3), b=np.zeros(3), activation="identity")
-    x = np.array([0.1, -0.5, 2.0])
-    y, _ = cells.dense_step(p, x)
-    assert np.array_equal(y, x)
-
-
 def test_dense_tanh_of_bias():
     p = cells.DenseParams(w=np.zeros((2, 3)), b=np.array([0.3, -0.7]))
     y, _ = cells.dense_step(p, np.ones(3))

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -188,6 +189,37 @@ def test_cli_synth_roundtrip(tmp_path):
     assert (tmp_path / "run_manifest.json").exists()
 
 
+def test_cli_synth_follows_the_master_seed_and_the_grid(tmp_path):
+    # synth used to ignore --seed: seeds 5 and 6 wrote the same file
+    doc = {"data": {"synth": {"n_days": 30}}, "n_seeds": 3}
+    cfgp = write_config(tmp_path, doc)
+    written = {}
+    for name, seed in (("a", "5"), ("b", "6"), ("c", "5")):
+        assert cli.main(["synth", "--config", cfgp, "--out",
+                         str(tmp_path / name), "--seed", seed]) == 0
+        written[name] = (tmp_path / name / "synthetic.csv").read_bytes()
+    assert written["a"] != written["b"]
+    assert written["a"] == written["c"]
+    # segment i is the series the grid trains on for seed i
+    segments = list(timeseries.ingest_csv(tmp_path / "a" / "synthetic.csv")
+                    .values())
+    config = ex.config_from_json(doc, seed=5)
+    assert len(segments) == 3
+    for i, segment in enumerate(segments):
+        grid = ex._series_for(config, i)[0]
+        assert np.array_equal(segment.values, grid.values)
+        assert np.array_equal(segment.timestamps, grid.timestamps)
+
+
+def test_cli_synth_rejects_a_csv_config(tmp_path, capsys):
+    cfgp = write_config(tmp_path, {"data": {"csv": "observations.csv"}})
+    out = tmp_path / "out"
+    assert cli.main(["synth", "--config", cfgp, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config.json" in err and "data.csv" in err
+    assert not (out / "synthetic.csv").exists()
+
+
 def test_cli_benchmark_outputs_and_byte_determinism(tmp_path):
     cfgp = write_config(tmp_path, TINY)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -200,6 +232,9 @@ def test_cli_benchmark_outputs_and_byte_determinism(tmp_path):
     manifest = json.loads((out1 / "run_manifest.json").read_text())
     assert manifest["command"] == "benchmark"
     assert manifest["config"]["seed"] == 5
+    # the per-job seeds are derived, not settings
+    assert "seed" not in manifest["config"]["train"]
+    assert "seed" not in manifest["config"]["synth"]
 
 
 def test_cli_train_writes_model_and_curves(tmp_path):
@@ -305,6 +340,19 @@ BAD_CONFIGS = [
     ({"train": {"max_epochs": "many"}}, "train.max_epochs"),
     ({"T": 1, "models": [{"variant": "gru", "imputation": "average"}],
       "missing_rates": [0.0]}, "T"),
+    # settings that used to be overwritten or dropped without a word
+    ({"train": {"seed": 5}}, "train.seed"),
+    ({"data": {"synth": {"seed": 1}}}, "data.synth.seed"),
+    ({"data": {"csv": "x.csv", "synth": {"n_days": 30}}}, "data.csv"),
+    ({"seed": -1}, "seed"),
+    # numbers out of range, and the NaN and infinities json reads
+    ({"train": {"learning_rate": math.nan}}, "train.learning_rate"),
+    ({"data": {"synth": {"noise_std": math.nan}}}, "data.synth.noise_std"),
+    ({"data": {"synth": {"winter_width": math.inf}}},
+     "data.synth.winter_width"),
+    ({"missing_rates": [-math.inf]}, "missing_rates[0]"),
+    ({"train": {"beta1": 1.5}}, "train.beta1"),
+    ({"train": {"beta2": 1}}, "train.beta2"),
 ]
 
 
@@ -376,9 +424,38 @@ def test_cli_file_errors_exit_1_naming_the_path(tmp_path, capsys, case):
 @pytest.mark.parametrize("argv", [
     ["benchmark", "--threads", "0"], ["benchmark", "--threads", "-3"],
     ["sweep", "--threads", "0"], ["gradcheck", "--draws", "0"],
-    ["gradcheck", "--draws", "-1"]], ids=" ".join)
+    ["gradcheck", "--draws", "-1"],
+    *([command, "--seed", "-1"] for command in
+      ("synth", "train", "benchmark", "sweep", "gradcheck"))], ids=" ".join)
 def test_cli_rejects_counts_below_one_as_usage_errors(capsys, argv):
+    # a negative seed used to end in a numpy traceback
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
-    assert "must be >= 1" in capsys.readouterr().err
+    low = 0 if "--seed" in argv else 1
+    assert f"must be >= {low}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delta_max", ["nan", "inf", "-inf"])
+def test_cli_decay_curve_rejects_a_non_finite_delta_max(tmp_path, capsys,
+                                                        delta_max):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decay-curve", "--model", str(tmp_path / "model.json"),
+                  "--out", str(tmp_path), f"--delta-max={delta_max}"])
+    assert exc.value.code == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_cli_decay_curve_rejects_too_many_points_before_allocating(
+        tmp_path, capsys):
+    # 1e300 used to end in "Maximum allowed size exceeded", and 1e9 would
+    # have allocated 2e9 points
+    model = network.build_model(network.ModelSpec("gru-d", hidden_size=3),
+                                new_rng(0), x_mean=np.array([0.5]))
+    network.save_model(model, tmp_path / "model.json")
+    for delta_max in ("1e300", "1e9"):
+        assert cli.main(["decay-curve", "--model", str(tmp_path / "model.json"),
+                         "--out", str(tmp_path), "--delta-max", delta_max]) == 1
+        err = capsys.readouterr().err
+        assert "delta_max" in err and "Traceback" not in err
+    assert not (tmp_path / "decay_curve.csv").exists()

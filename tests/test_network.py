@@ -139,7 +139,7 @@ def test_gradient_check_random_models(variant, depth):
     sample = make_sample(rng, missing=0.5 if variant == "gru-d" else 0.0)
     # 1e-5 bound: central differences bottom out near 1e-11 absolute, so tiny
     # gradients deep in the unroll can't certify much tighter than this
-    assert network.gradient_check(model, sample, eps=1e-5) < 1e-5
+    assert network.gradient_check(model, sample) < 1e-5
 
 
 def test_gradient_check_grud_kink_free_point():
@@ -151,7 +151,7 @@ def test_gradient_check_grud_kink_free_point():
     model.layers[0].w_decay_h[...] = rng.random((3, 1)) + 0.1
     model.layers[0].b_decay_h[...] = rng.random(3) + 0.1
     sample = make_sample(rng, missing=0.5)
-    assert network.gradient_check(model, sample, eps=1e-5) < 1e-6
+    assert network.gradient_check(model, sample) < 1e-6
 
 
 def test_gradient_check_fresh_init_passes_threshold():
@@ -162,13 +162,13 @@ def test_gradient_check_fresh_init_passes_threshold():
         if variant == "gru-d":
             model.layers[0].x_mean = np.array([0.5])
         sample = make_sample(rng, missing=0.4 if variant == "gru-d" else 0.0)
-        assert network.gradient_check(model, sample, eps=1e-5) < 1e-5
+        assert network.gradient_check(model, sample) < 1e-5
 
 
 def test_gradient_check_zero_gru():
     model = zero_model("gru", hidden_size=3)
     sample = make_sample(new_rng(11))
-    assert network.gradient_check(model, sample, eps=1e-5) < 1e-5
+    assert network.gradient_check(model, sample) < 1e-5
 
 
 def test_bptt_matches_finite_differences_closely():
@@ -280,7 +280,8 @@ def test_batched_rows_equal_the_one_window_forward(variant, depth):
     for b_size in (1, 2, 7, 13):
         batch = samples[:b_size]
         preds = network.predict(model, batch)
-        y_hat, caches, h_final = network._run(model, batch)
+        y_hat, caches, h_final = network._run(
+            model, *network.stack_windows(batch, "x", "m", "delta"))
         assert np.array_equal(preds, y_hat)
         for b, (y_one, trace) in enumerate(one[:b_size]):
             assert preds[b] == y_one
@@ -484,7 +485,7 @@ def test_kink_mask_covers_exactly_the_near_kink_decay_elements():
     p.w_decay_h[1] = 0.0
     p.b_decay_h[1] = 0.0
     _, trace = network.forward(model, make_sample(rng, missing=0.5))
-    mask = network._kink_excluded(model, trace, eps=1e-5)
+    mask = network._kink_excluded(model, trace)
     expect = np.zeros(model.theta.size, dtype=bool)
     views = model.unflatten(expect)
     views["layers.0.w_decay_x"][0] = True
@@ -494,4 +495,4 @@ def test_kink_mask_covers_exactly_the_near_kink_decay_elements():
     assert np.array_equal(mask, expect)
     assert not network._kink_excluded(
         network.build_model(network.ModelSpec("gru", hidden_size=3), rng),
-        trace, eps=1e-5).any()
+        trace).any()

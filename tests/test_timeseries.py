@@ -163,14 +163,14 @@ def test_split_sizes_near_exact_proportions():
 def test_synthesize_constant_case():
     cfg = ts.SynthConfig(n_days=50, winter_depth=0.0, noise_std=0.0,
                          episode_std=0.0)
-    series = ts.synthesize(cfg)
+    series = ts.synthesize(cfg, 0)
     assert np.allclose(series.values, 0.75)
 
 
 def test_synthesize_seasonal_anchors():
     summer, winter = [], []
     for seed in range(5):
-        series = ts.synthesize(ts.SynthConfig(seed=seed))
+        series = ts.synthesize(ts.SynthConfig(), seed)
         days = series.timestamps
         center = 330.0
         summer.append(series.values[(days > 100) & (days < 250)])
@@ -181,8 +181,8 @@ def test_synthesize_seasonal_anchors():
 
 
 def test_synthesize_deterministic_and_clamped():
-    cfg = ts.SynthConfig(seed=4, noise_std=0.3)
-    a, b = ts.synthesize(cfg), ts.synthesize(cfg)
+    cfg = ts.SynthConfig(noise_std=0.3)
+    a, b = ts.synthesize(cfg, 4), ts.synthesize(cfg, 4)
     assert np.array_equal(a.values, b.values)
     assert np.all(a.values >= 0.05) and np.all(a.values <= 1.0)
 
@@ -191,8 +191,8 @@ def test_synthesize_episodes_are_persistent():
     # multi-day weather spells make consecutive deviations correlated; with
     # the episode component off, only white measurement noise remains
     flat = dict(winter_depth=0.0, n_days=400)
-    with_ep = ts.synthesize(ts.SynthConfig(seed=2, **flat))
-    without = ts.synthesize(ts.SynthConfig(seed=2, episode_std=0.0, **flat))
+    with_ep = ts.synthesize(ts.SynthConfig(**flat), 2)
+    without = ts.synthesize(ts.SynthConfig(episode_std=0.0, **flat), 2)
 
     def lag1(v):
         d = v - np.mean(v)

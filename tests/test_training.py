@@ -11,9 +11,8 @@ from frictioncast.training import AdamState, TrainConfig
 
 def small_split(noise=0.0, n_days=60, seed=0, missing=0.0, depth=0.2):
     cfg = timeseries.SynthConfig(n_days=n_days, noise_std=noise,
-                                 winter_depth=depth, episode_std=0.0,
-                                 seed=seed)
-    samples = timeseries.window(timeseries.synthesize(cfg), 7)
+                                 winter_depth=depth, episode_std=0.0)
+    samples = timeseries.window(timeseries.synthesize(cfg, seed), 7)
     if missing > 0:
         samples = [timeseries.inject_missing(s, missing, seed=1000 + i)
                    for i, s in enumerate(samples)]
@@ -90,16 +89,16 @@ def test_train_config_validation():
 def test_train_learns_constant_target():
     splits = small_split(noise=0.0, depth=0.0)  # constant series at 0.75
     model = fresh_model()
-    cfg = TrainConfig(max_epochs=50, patience=49, learning_rate=5e-3, seed=1)
-    model, report = training.train(model, splits, None, cfg)
+    cfg = TrainConfig(max_epochs=50, patience=49, learning_rate=5e-3)
+    model, report = training.train(model, splits, None, cfg, seed=1)
     assert min(report.val_losses) < 1e-4
 
 
 def test_train_early_stop_on_noise():
     splits = small_split(noise=0.2, depth=0.0, seed=3)
     model = fresh_model(seed=3)
-    cfg = TrainConfig(max_epochs=100, patience=1, seed=3)
-    _, report = training.train(model, splits, None, cfg)
+    cfg = TrainConfig(max_epochs=100, patience=1)
+    _, report = training.train(model, splits, None, cfg, seed=3)
     assert report.epochs_run < 20
 
 
@@ -109,8 +108,8 @@ def test_train_deterministic():
     for _ in range(2):
         splits = small_split(noise=0.05, seed=5)
         model = fresh_model(seed=5)
-        cfg = TrainConfig(max_epochs=8, patience=7, seed=5)
-        model, report = training.train(model, splits, None, cfg)
+        cfg = TrainConfig(max_epochs=8, patience=7)
+        model, report = training.train(model, splits, None, cfg, seed=5)
         reports.append(report)
         finals.append({n: t.copy() for n, t in model.named_tensors().items()})
     assert reports[0].train_losses == reports[1].train_losses
@@ -122,8 +121,8 @@ def test_train_deterministic():
 def test_train_restores_best_epoch_params():
     splits = small_split(noise=0.05, seed=7)
     model = fresh_model(seed=7)
-    cfg = TrainConfig(max_epochs=15, patience=14, seed=7)
-    model, report = training.train(model, splits, None, cfg)
+    cfg = TrainConfig(max_epochs=15, patience=14)
+    model, report = training.train(model, splits, None, cfg, seed=7)
     best_val = report.val_losses[report.best_epoch - 1]
     assert best_val == min(report.val_losses)
     assert training._mean_loss(model, splits.validation) == pytest.approx(
@@ -133,8 +132,8 @@ def test_train_restores_best_epoch_params():
 def test_early_stop_window_invariant():
     splits = small_split(noise=0.1, seed=9)
     model = fresh_model(seed=9)
-    cfg = TrainConfig(max_epochs=60, patience=3, seed=9)
-    _, report = training.train(model, splits, None, cfg)
+    cfg = TrainConfig(max_epochs=60, patience=3)
+    _, report = training.train(model, splits, None, cfg, seed=9)
     assert report.epochs_run - report.best_epoch <= cfg.patience + 1
 
 
@@ -142,14 +141,15 @@ def test_train_requires_imputation_for_missing_data():
     splits = small_split(missing=0.5)
     model = fresh_model()
     with pytest.raises(ConfigError, match="imputation"):
-        training.train(model, splits, None, TrainConfig(max_epochs=2, patience=1))
+        training.train(model, splits, None, TrainConfig(max_epochs=2, patience=1),
+                       seed=0)
 
 
 def test_train_rejects_unknown_imputation():
     splits = small_split(missing=0.5)
     with pytest.raises(ConfigError, match="unknown imputation"):
         training.train(fresh_model(), splits, "magic",
-                       TrainConfig(max_epochs=2, patience=1))
+                       TrainConfig(max_epochs=2, patience=1), seed=0)
 
 
 def test_train_empty_split_rejected():
@@ -158,14 +158,14 @@ def test_train_empty_split_rejected():
                                     test=splits.test)
     with pytest.raises(DataError):
         training.train(fresh_model(), empty, None,
-                       TrainConfig(max_epochs=2, patience=1))
+                       TrainConfig(max_epochs=2, patience=1), seed=0)
 
 
 def test_grud_trains_on_missing_data():
     splits = small_split(missing=0.6, n_days=80)
     model = fresh_model("gru-d")
-    cfg = TrainConfig(max_epochs=5, patience=4, seed=2)
-    model, report = training.train(model, splits, None, cfg)
+    cfg = TrainConfig(max_epochs=5, patience=4)
+    model, report = training.train(model, splits, None, cfg, seed=2)
     assert len(report.val_losses) == report.epochs_run
     assert model.train_stats is not None
     assert np.array_equal(model.layers[0].x_mean, model.train_stats.mean)
@@ -176,8 +176,8 @@ def test_grud_trains_on_missing_data():
 def test_evaluate_perfect_model():
     splits = small_split(noise=0.0, depth=0.0)  # constant series
     model = fresh_model()
-    cfg = TrainConfig(max_epochs=60, patience=59, learning_rate=5e-3, seed=1)
-    model, _ = training.train(model, splits, None, cfg)
+    cfg = TrainConfig(max_epochs=60, patience=59, learning_rate=5e-3)
+    model, _ = training.train(model, splits, None, cfg, seed=1)
     report = training.evaluate(model, splits.test, None)
     assert report.mae < 0.02
     assert report.n == len(splits.test)
@@ -187,7 +187,7 @@ def test_evaluate_constant_predictor_closed_form():
     splits = small_split(noise=0.05, seed=11)
     model = fresh_model()
     model, _ = training.train(model, splits, None,
-                              TrainConfig(max_epochs=2, patience=1, seed=11))
+                              TrainConfig(max_epochs=2, patience=1), seed=11)
     # freeze a constant prediction by zeroing everything except the head bias
     for t in model.named_tensors().values():
         t[...] = 0.0
