@@ -32,7 +32,8 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 # (variant, recurrent depth); ffnn has two dense layers
-VARIANTS = [("gru", 1), ("gru-d", 1), ("gru-d", 2), ("lstm", 2), ("ffnn", 1)]
+VARIANTS = [("gru", 1), ("gru", 2), ("gru-d", 1), ("gru-d", 2), ("lstm", 2),
+            ("ffnn", 1)]
 PARTS = ("forward", "backward", "adam", "step")
 HIDDEN, T = 8, 7
 

@@ -22,15 +22,16 @@ the gates, would not), so row b of a B-window call equals the one-window
 call bit for bit. A layer returns its outputs [B, T, H] and a cache of
 [B, T, ·] arrays holding the intermediates the backward pass needs.
 
-The backward runs per window, on one window's cache [T, ·], readied once
-by `backward_cache` (the factors that read only the cache, and a gate
-gradient buffer [T, G, H]). The recurrent backward steps fill row t of the
-buffer and do only what the recurrence needs, in the per-step association.
-A weight's gradient at a step is the outer product of a gate gradient and
-an operand the forward cached; the caller forms those once per window
-(`network.backward`), and `grud_decay_backward` runs the decay path over a
-whole window. Backward passes are exact reverse-mode, gradient-checked
-against finite differences.
+The backward runs one layer at a time too, per window, on one window's
+cache [T, ·], readied once by `backward_cache` (the factors that read only
+the cache, and a gate gradient buffer [T, G, H]). Its time loop keeps only
+the recurrence: the backward steps fill row t of the buffer, in the
+per-step association. From the full buffer, `window_input_grad` forms the
+layer's input gradient by stacked transposed gemvs, the caller the weight
+gradients, each a per-step outer product of a gate gradient and a cached
+operand (`network.backward`), and `grud_decay_backward` the decay path.
+Backward passes are exact reverse-mode, gradient-checked against finite
+differences.
 
 The decay rate is exp(-max(0, w·delta + b)), so it lives in (0, 1] and its
 gradient is zero wherever the rectifier is inactive (subgradient 0 at the
@@ -248,12 +249,10 @@ def _gated_layer(step, g: tuple, x, xw, h0, *per_step) -> tuple:
                       "c": _batch_major(cs)}
 
 
-def _gates_backward(p: GruParams, bw: dict, t: int, h_prev, dh,
-                    input_grad: bool):
+def _gates_backward(p: GruParams, bw: dict, t: int, h_prev, dh):
     """Backward of `_gates` at step t of one window's `backward_cache`, at
     state `h_prev`: fills row t of its gate-gradient buffer and returns
-    (that row [3, H], the state grad, the input grad or None unless
-    `input_grad`)."""
+    (that row [3, H], the state grad)."""
     da = bw["da"][t]  # rows r, z, c
     rz, om_rz = bw["rz"][t], bw["om_rz"][t]
     np.multiply(dh, rz[1], da[2])  # dc
@@ -264,11 +263,18 @@ def _gates_backward(p: GruParams, bw: dict, t: int, h_prev, dh,
     da_rz = da[:2]
     da_rz *= rz
     da_rz *= om_rz
-    dh_prev = dh * om_rz[1] + d_rh * rz[0] + p.u_r.T @ da[0] + p.u_z.T @ da[1]
-    dx = None
-    if input_grad:
-        dx = p.w_c.T @ da[2] + p.w_r.T @ da[0] + p.w_z.T @ da[1]
-    return da, dh_prev, dx
+    return da, dh * om_rz[1] + d_rh * rz[0] + p.u_r.T @ da[0] + p.u_z.T @ da[1]
+
+
+def window_input_grad(p, bw: dict) -> np.ndarray:
+    """A recurrent layer's input grad dx [T, D] over one window from the
+    filled buffer `da` of its `backward_cache` (for the decay cell, the grad
+    at x_hat): one stacked transposed gemv per gate and step, summed as a
+    step would, (c + r) + z for the gated cells, 0.0 + f + i + o + g else."""
+    per_gate = (p.W.swapaxes(1, 2) @ bw["da"][..., None])[..., 0]  # [T, G, D]
+    if isinstance(p, LstmParams):
+        return np.add.reduce(per_gate, axis=1, initial=0.0)
+    return per_gate[:, 2] + per_gate[:, 0] + per_gate[:, 1]
 
 
 def backward_cache(kind: str, cache: dict) -> dict:
@@ -276,7 +282,7 @@ def backward_cache(kind: str, cache: dict) -> dict:
     "gru-d" or "lstm"), readied for its backward kernels: the factors that
     read only the cache, formed once per window, and the buffer `da`
     [T, G, H] of gate pre-activation gradients the kernels fill (and, for
-    the decay cell, of the grads at its decayed state and input)."""
+    the decay cell, `dh_hat` [T, H] of the grads at its decayed state)."""
     t_len, h_dim = cache["c"].shape
     if kind == "lstm":
         fio, gc, tc = cache["fio"], cache["gc"], cache["tc"]
@@ -289,8 +295,7 @@ def backward_cache(kind: str, cache: dict) -> dict:
     bw = dict(cache, ch=c - h_prev, om_rz=1.0 - cache["rz"],
               om_cc=1.0 - c * c, da=np.empty((t_len, 3, h_dim)))
     if kind == "gru-d":
-        bw.update(dh_hat=np.empty((t_len, h_dim)),
-                  dx_hat=np.empty(cache["x_hat"].shape))
+        bw["dh_hat"] = np.empty((t_len, h_dim))
     return bw
 
 
@@ -310,14 +315,12 @@ def gru_layer(p: GruParams, x: np.ndarray, h0: np.ndarray | None = None):
     return _gated_layer(gru_step, _gru_gates(p), x, _project(p.W, x), h0)
 
 
-def gru_step_backward(p: GruParams, bw: dict, t: int, dh: np.ndarray,
-                      input_grad: bool = True):
-    """(gate pre-activation grads [3, H] (r, z, c), dh_prev, dx) at step t
-    of one window's `backward_cache`; the grads are row t of its buffer
-    `da`, whose outer products with the step's x, h_prev and r*h_prev are
-    the weight grads, formed once per window by the caller. `dx` is None
-    unless `input_grad`."""
-    return _gates_backward(p, bw, t, bw["h_prev"][t], dh, input_grad)
+def gru_step_backward(p: GruParams, bw: dict, t: int, dh: np.ndarray):
+    """(gate pre-activation grads [3, H] (r, z, c), dh_prev) at step t of
+    one window's `backward_cache`; the grads are row t of its buffer `da`,
+    whose outer products with the step's x, h_prev and r*h_prev are the
+    weight grads, formed once per window by the caller."""
+    return _gates_backward(p, bw, t, bw["h_prev"][t], dh)
 
 
 # --- decay-mechanism cell ----------------------------------------------------
@@ -364,26 +367,26 @@ def grud_layer(p: GrudParams, x: np.ndarray, m: np.ndarray, delta: np.ndarray,
 
 
 def grud_step_backward(p: GrudParams, bw: dict, t: int, dh: np.ndarray):
-    """(gate pre-activation grads [3, H], dh_prev, dh_hat, dx_hat) at step t
-    of one window's `backward_cache`: the gate grads act on x_hat, h_hat and
-    the mask m; `dh_hat` and `dx_hat`, the grads at the decayed state and
-    input, land in rows t of the buffers of the same name, which
-    `grud_decay_backward` reads."""
-    da, dh_hat, dx_hat = _gates_backward(p, bw, t, bw["h_hat"][t], dh, True)
-    bw["dh_hat"][t], bw["dx_hat"][t] = dh_hat, dx_hat
-    return da, dh_hat * bw["gamma_h"][t], dh_hat, dx_hat
+    """(gate pre-activation grads [3, H], dh_prev, dh_hat) at step t of one
+    window's `backward_cache`: the gate grads act on x_hat, h_hat and the
+    mask m; `dh_hat`, the grad at the decayed state, lands in row t of the
+    buffer of the same name, which `grud_decay_backward` reads."""
+    da, dh_hat = _gates_backward(p, bw, t, bw["h_hat"][t], dh)
+    bw["dh_hat"][t] = dh_hat
+    return da, dh_hat * bw["gamma_h"][t], dh_hat
 
 
 def grud_decay_backward(p: GrudParams, bw: dict):
     """Grads at the decay pre-activations over one window of decay-cell
     steps: (da_x [T, D], da_h [T, H]) from its `backward_cache` once the
-    step kernels filled `dh_hat` and `dx_hat`; zero where the rectifier is
+    step kernels filled `da` and `dh_hat`; zero where the rectifier is
     off."""
     # hidden decay path: h_hat = gamma_h * h_prev
     da_h = _decay_backward(bw["pre_h"], bw["gamma_h"],
                            bw["dh_hat"] * bw["h_prev"])
     # input decay path: x_hat mixes x_last and the frozen mean on missing slots
-    dgamma_x = bw["dx_hat"] * (1.0 - bw["m"]) * (bw["x_last"] - p.x_mean)
+    dgamma_x = (window_input_grad(p, bw) * (1.0 - bw["m"])
+                * (bw["x_last"] - p.x_mean))
     da_x = _decay_backward(bw["pre_x"], bw["gamma_x"], dgamma_x)
     return da_x, da_h
 
@@ -433,11 +436,11 @@ def lstm_layer(p: LstmParams, x: np.ndarray, h0: np.ndarray | None = None,
 
 
 def lstm_step_backward(p: LstmParams, bw: dict, t: int, dh: np.ndarray,
-                       dc_in: np.ndarray, input_grad: bool = True):
-    """(gate pre-activation grads [4, H] (f, i, o, g), dh_prev, dc_prev, dx)
-    at step t of one window's `backward_cache`; the grads are row t of its
+                       dc_in: np.ndarray):
+    """(gate pre-activation grads [4, H] (f, i, o, g), dh_prev, dc_prev) at
+    step t of one window's `backward_cache`; the grads are row t of its
     buffer `da`, whose outer products with the step's x and h_prev are the
-    weight grads. `dx` is None unless `input_grad`."""
+    weight grads."""
     da = bw["da"][t]
     fio = bw["fio"][t]
     dc = dh * fio[2]  # dc_in + dh * o * (1 - tc^2)
@@ -450,15 +453,10 @@ def lstm_step_backward(p: LstmParams, bw: dict, t: int, dh: np.ndarray,
     da_fio *= bw["om_fio"][t]
     np.multiply(dc, fio[1], da[3])  # dgc
     da[3] *= bw["om_gg"][t]
-    dc_prev = dc * fio[0]
-    # each sum starts from 0.0, which turns an all -0.0 result into +0.0
-    dh_prev = (0.0 + p.u_f.T @ da[0] + p.u_i.T @ da[1] + p.u_o.T @ da[2]
-               + p.u_g.T @ da[3])
-    dx = None
-    if input_grad:
-        dx = (0.0 + p.w_f.T @ da[0] + p.w_i.T @ da[1] + p.w_o.T @ da[2]
-              + p.w_g.T @ da[3])
-    return da, dh_prev, dc_prev, dx
+    # 0.0 + f + i + o + g: the start turns an all -0.0 sum into +0.0
+    dh_prev = np.add.reduce(p.U.swapaxes(1, 2) @ da[..., None], axis=0,
+                            initial=0.0)[:, 0]
+    return da, dh_prev, dc * fio[0]
 
 
 # --- dense layer (feed-forward baseline) -------------------------------------

@@ -177,9 +177,14 @@ def config_from_json(doc: dict, seed: int | None = None) -> ExperimentConfig:
 
 
 def config_to_json(config: ExperimentConfig) -> dict:
-    doc = dataclasses.asdict(config)
+    """The config under its JSON keys, which `config_from_json` reads back."""
+    doc = {key: getattr(config, name) for key, name in _INT_KEYS.items()}
+    doc["data"] = ({"csv": config.csv_path} if config.synth is None
+                   else {"synth": dataclasses.asdict(config.synth)})
     doc["models"] = [{"variant": m.variant, "imputation": m.imputation}
                      for m in config.models]
+    doc["missing_rates"] = list(config.missing_rates)
+    doc["train"] = dataclasses.asdict(config.train)
     return doc
 
 

@@ -12,10 +12,10 @@ The forward pass runs layer by layer over a batch of same-length windows
 b equals `forward` on window b alone bit for bit, because every product in
 the pass rounds per row. `forward` runs one window and keeps its trace, each
 layer's cache of [T, ·] arrays, for `backward`, which returns the loss
-gradient in the parameter vector's layout: a time loop of step kernels
-that fill each layer's gate-gradient buffer, then one broadcast product per
-weight block over the window. `gradient_check` compares it against central
-finite differences.
+gradient in the parameter vector's layout, layer by layer too: a time loop
+of step kernels fills the layer's gate-gradient buffer, then stacked
+products over the window give its weight and input gradients.
+`gradient_check` compares it against central finite differences.
 """
 
 from __future__ import annotations
@@ -269,10 +269,11 @@ def _weight_rows(kind: str, layer, bw: dict, n: int) -> np.ndarray:
 def backward(model: Model, trace: dict, y: float) -> np.ndarray:
     """Exact gradient of (y_hat - y)^2 w.r.t. theta, in theta's layout.
 
-    The time loop runs only the recurrence: each layer's step kernels read
-    its `cells.backward_cache` by step and fill its gate-gradient buffer.
-    Each recurrent layer's weight gradients are formed after it as per-step
-    rows (`_weight_rows`)."""
+    Layer by layer from the top, each time loop runs only the recurrence:
+    the step kernels read the layer's `cells.backward_cache` by step and
+    fill its gate-gradient buffer. From the full buffer follow the weight
+    gradients (`_weight_rows`) and the input gradient that the layer below
+    adds at each step (`cells.window_input_grad`)."""
     spec = model.spec
     grad = np.zeros_like(model.theta)
     dy = 2.0 * (trace["y_hat"] - y)
@@ -293,35 +294,27 @@ def backward(model: Model, trace: dict, y: float) -> np.ndarray:
             grad[stop - g["b"].size:stop] += g["b"]
         return grad
 
-    n_layers = len(model.layers)
-    kinds = [_layer_kind(spec, li) for li in range(n_layers)]
-    bws = [cells.backward_cache(kind, cache)
-           for kind, cache in zip(kinds, trace["caches"])]
-    t_len = bws[0]["da"].shape[0]
-    dh = [np.zeros(spec.hidden_size) for _ in range(n_layers)]
-    dc = [np.zeros(spec.hidden_size) for _ in range(n_layers)]
-    dh[-1] = dh_final
-    for t in range(t_len - 1, -1, -1):
-        dx_above = None
-        for li in range(n_layers - 1, -1, -1):
-            d_out = dh[li] if dx_above is None else dh[li] + dx_above
-            layer, bw = model.layers[li], bws[li]
-            # the bottom layer's input gradient feeds nothing
-            if kinds[li] == "lstm":
-                _, dh[li], dc[li], dx_above = cells.lstm_step_backward(
-                    layer, bw, t, d_out, dc[li], input_grad=li > 0)
-            elif kinds[li] == "gru-d":
-                dh[li] = cells.grud_step_backward(layer, bw, t, d_out)[1]
+    d_above = None  # the input gradient [T, H] of the layer above
+    for li in range(len(model.layers) - 1, -1, -1):
+        kind, layer = _layer_kind(spec, li), model.layers[li]
+        bw = cells.backward_cache(kind, trace["caches"][li])
+        dh = dh_final if d_above is None else np.zeros(spec.hidden_size)
+        dc = np.zeros(spec.hidden_size)
+        for t in range(len(bw["da"]) - 1, -1, -1):
+            d_out = dh if d_above is None else dh + d_above[t]
+            if kind == "lstm":
+                dh, dc = cells.lstm_step_backward(layer, bw, t, d_out, dc)[1:]
+            elif kind == "gru-d":
+                dh = cells.grud_step_backward(layer, bw, t, d_out)[1]
             else:
-                _, dh[li], dx_above = cells.gru_step_backward(
-                    layer, bw, t, d_out, input_grad=li > 0)
-    for li, (start, stop) in enumerate(model._layer_spans):
-        rows = _weight_rows(kinds[li], model.layers[li], bws[li], stop - start)
-        # one row at a time in reverse time order, the order of the step
-        # loop: rows.sum(0) or a matmul would round differently
-        block = grad[start:stop]
-        for t in range(t_len - 1, -1, -1):
-            block += rows[t]
+                dh = cells.gru_step_backward(layer, bw, t, d_out)[1]
+        start, stop = model._layer_spans[li]
+        # the rows in reverse time order, one after another from 0.0: the
+        # kept axis is wide, so numpy adds them in turn, not pairwise
+        np.add.reduce(_weight_rows(kind, layer, bw, stop - start)[::-1],
+                      axis=0, initial=0.0, out=grad[start:stop])
+        if li > 0:  # the bottom layer's input gradient feeds nothing
+            d_above = cells.window_input_grad(layer, bw)
     return grad
 
 

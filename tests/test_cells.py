@@ -24,6 +24,11 @@ def window(cache, b=0):
     return {k: v[b] for k, v in cache.items()}
 
 
+def same_bits(a, b) -> bool:
+    """Equal values and equal sign bits, so +0.0 and -0.0 differ."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def gru_one(p, x, h_prev):
     """One step of the plain cell on one window: (h [H], cache [1, ·])."""
     out, cache = cells.gru_layer(p, x[None, None], h_prev[None])
@@ -197,10 +202,10 @@ def test_grud_backward_reduces_to_gru():
         _, cg = gru_one(gru, x, h_prev)
         _, cd = grud_one(grud, x[None], np.ones((1, 1)), rng.random((1, 1)),
                          h_prev)
-        wg, (out_g,) = window_weight_grads("gru", gru, cg, dh)
-        wd, (out_d,) = window_weight_grads("gru-d", grud, cd, dh)
-        gates_g, dh_g, dx_g = out_g
-        gates_d, dh_d, _, dx_hat = out_d
+        wg, (out_g,), dx_g = window_weight_grads("gru", gru, cg, dh)
+        wd, (out_d,), dx_hat = window_weight_grads("gru-d", grud, cd, dh)
+        gates_g, dh_g = out_g
+        gates_d, dh_d, _ = out_d
         assert np.array_equal(gates_g, gates_d)  # rows r, z, c
         assert all(np.array_equal(wg[k], wd[k]) for k in gru.tensors())
         # with m = 1 the input grad is the one at the decayed input
@@ -353,10 +358,10 @@ def numeric_step_grads(step_fn, params, eps=1e-5):
 
 def window_weight_grads(kind, p, cache, dh):
     """Weight grads of sum(dh * h_T) over one window's cache [T, ·], by
-    tensor name, and what each step's backward kernel returned: the kernels
-    run back through time on the window's `backward_cache`, then the
-    per-window gradient rows (`network._weight_rows`) are added up in
-    reverse time order."""
+    tensor name, what each step's backward kernel returned, and the input
+    grads [T, D]: the kernels run back through time on the window's
+    `backward_cache`, then the per-window gradient rows
+    (`network._weight_rows`) are added up in reverse time order."""
     bw = cells.backward_cache(kind, cache)
     t_len = bw["da"].shape[0]
     outs, dc = [None] * t_len, np.zeros_like(dh)
@@ -377,7 +382,7 @@ def window_weight_grads(kind, p, cache, dh):
         total += rows[t]
     grads = {name: total[lo:hi].reshape(np.shape(getattr(p, name)))
              for name, (lo, hi) in spans.items()}
-    return grads, outs
+    return grads, outs, cells.window_input_grad(p, bw)
 
 
 def assert_grads_close(analytic, numeric, tol=1e-6, skip=()):
@@ -395,7 +400,8 @@ def test_gru_backward_matches_finite_differences():
     p = cells.init_gru(1, 3, rng)
     x, h_prev = rng.standard_normal(1), rng.standard_normal(3)
     _, cache = gru_one(p, x, h_prev)
-    g, ((_, dh_prev, dx),) = window_weight_grads("gru", p, cache, np.ones(3))
+    g, ((_, dh_prev),), (dx,) = window_weight_grads("gru", p, cache,
+                                                    np.ones(3))
     assert_grads_close(g, numeric_step_grads(lambda: gru_one(p, x, h_prev)[0], p))
     # carried-state and input gradients against finite differences
     eps = 1e-5
@@ -425,7 +431,7 @@ def test_grud_backward_matches_finite_differences():
     h_prev = rng.standard_normal(3)
     _, cache = grud_one(p, x, m, delta, h_prev)
     assert np.array_equal(cache["x_last"][1], [0.8])
-    g, _ = window_weight_grads("gru-d", p, cache, np.ones(3))
+    g = window_weight_grads("gru-d", p, cache, np.ones(3))[0]
     numeric = numeric_step_grads(lambda: grud_one(p, x, m, delta, h_prev)[0], p)
     assert_grads_close(g, numeric)
 
@@ -439,7 +445,7 @@ def test_grud_backward_dead_rectifier_gives_zero_decay_grads():
     p.b_decay_h[...] = -5.0
     _, cache = grud_one(p, np.array([[np.nan]]), np.zeros((1, 1)),
                         np.array([[2.0]]), rng.standard_normal(3))
-    g, _ = window_weight_grads("gru-d", p, cache, np.ones(3))
+    g = window_weight_grads("gru-d", p, cache, np.ones(3))[0]
     for name in ("w_decay_x", "b_decay_x", "w_decay_h", "b_decay_h"):
         assert np.all(g[name] == 0.0)
 
@@ -450,7 +456,7 @@ def test_lstm_backward_matches_finite_differences():
     x = rng.standard_normal(1)
     h_prev, c_prev = rng.standard_normal(3), rng.standard_normal(3)
     _, _, cache = lstm_one(p, x, h_prev, c_prev)
-    g, _ = window_weight_grads("lstm", p, cache, np.ones(3))
+    g = window_weight_grads("lstm", p, cache, np.ones(3))[0]
     numeric = numeric_step_grads(lambda: lstm_one(p, x, h_prev, c_prev)[0], p)
     assert_grads_close(g, numeric)
 
@@ -487,8 +493,9 @@ def per_step_lstm_backward(p, c, dh, dc_in):
 @pytest.mark.parametrize("kind", ["gru", "gru-d", "lstm"])
 def test_backward_steps_keep_the_per_step_association(kind):
     """With the cache-only factors formed once per window, every step's
-    gate grads, state grads and input grad equal the per-step expressions
-    bit for bit (H = 5, D = 2, a six-step window)."""
+    gate grads and state grads, and each step's row of the window's input
+    grads, equal the per-step expressions bit for bit, sign bits of zeros
+    included (H = 5, D = 2, a six-step window)."""
     rng = new_rng(27)
     d, h_dim, t_len = 2, 5, 6
     init = {"gru": cells.init_gru, "lstm": cells.init_lstm,
@@ -509,31 +516,34 @@ def test_backward_steps_keep_the_per_step_association(kind):
         cache = window(cells.gru_layer(p, x[None], h0[None])[1])
     bw = cells.backward_cache(kind, cache)
     dh, dc = rng.standard_normal(h_dim), rng.standard_normal(h_dim)
+    dx_want = np.empty((t_len, d))
     for t in range(t_len - 1, -1, -1):
         c = {k: v[t] for k, v in cache.items()}
         if kind == "lstm":
             got = cells.lstm_step_backward(p, bw, t, dh, dc)
-            want = per_step_lstm_backward(p, c, dh, dc)
+            *want, dx_want[t] = per_step_lstm_backward(p, c, dh, dc)
             dc = got[2]
         elif kind == "gru-d":
-            da, dh_prev, dh_hat, dx_hat = cells.grud_step_backward(p, bw, t, dh)
-            got = da, dh_hat, dx_hat
-            want = per_step_gru_backward(p, c, c["h_hat"], dh)
+            da, dh_prev, dh_hat = cells.grud_step_backward(p, bw, t, dh)
+            got = da, dh_hat
+            *want, dx_want[t] = per_step_gru_backward(p, c, c["h_hat"], dh)
             assert np.array_equal(dh_prev, dh_hat * c["gamma_h"])
         else:
             got = cells.gru_step_backward(p, bw, t, dh)
-            want = per_step_gru_backward(p, c, c["h_prev"], dh)
+            *want, dx_want[t] = per_step_gru_backward(p, c, c["h_prev"], dh)
         for a, b in zip(got, want, strict=True):
-            assert np.array_equal(a, b) and not np.any(np.signbit(a) != np.signbit(b))
+            assert same_bits(a, b)
         dh = got[1] if kind != "gru-d" else dh_prev
+    assert same_bits(cells.window_input_grad(p, bw), dx_want)
 
 
 def test_zero_upstream_gradient_gives_zero_grads():
     rng = new_rng(24)
     p = cells.init_gru(1, 3, rng)
     _, cache = gru_one(p, rng.standard_normal(1), rng.standard_normal(3))
-    g, dh_prev, dx = cells.gru_step_backward(
-        p, cells.backward_cache("gru", cache), 0, np.zeros(3))
+    bw = cells.backward_cache("gru", cache)
+    g, dh_prev = cells.gru_step_backward(p, bw, 0, np.zeros(3))
+    dx = cells.window_input_grad(p, bw)
     assert np.all(g == 0)
     assert np.all(dh_prev == 0) and np.all(dx == 0)
 
@@ -565,3 +575,58 @@ def test_stacked_gemv_rounds_as_the_one_row_product():
         states = rng.standard_normal((13, h_dim))
         assert np.array_equal((head @ states[..., None])[..., 0],
                               np.array([head @ row for row in states]))
+
+
+def test_stacked_transposed_products_sum_as_the_per_gate_chain():
+    """The backward's gate sums rest on this: the stacked transposed product
+    `W^T @ da[..., None]` over steps and gates G in {2, 3, 4} equals each
+    gate's `W[g].T @ da[t, g]`, and `np.add.reduce(..., initial=0.0)` over
+    the gates equals the per-gate chain 0.0 + a + b + ..., in value and in
+    sign bit, for H 1-33 and input widths 1 and H, over a window and for
+    one step (as `lstm_step_backward` sums dh_prev)."""
+    rng = np.random.default_rng(1)
+    for h_dim in range(1, 34):
+        for k in sorted({1, h_dim}):
+            for n_gates in (2, 3, 4):
+                w = rng.standard_normal((n_gates, h_dim, k))
+                da = rng.standard_normal((5, n_gates, h_dim))
+                da[1], da[2] = 0.0, -0.0  # zero sums of either sign
+                da[3, 0] = -0.0
+                per_gate = (w.swapaxes(1, 2) @ da[..., None])[..., 0]
+                window_sum = np.add.reduce(per_gate, axis=1, initial=0.0)
+                for t in range(len(da)):
+                    want = 0.0
+                    for g in range(n_gates):
+                        product = w[g].T @ da[t, g]
+                        assert same_bits(per_gate[t, g], product)
+                        want = want + product
+                    assert same_bits(window_sum[t], want)
+                    step_sum = np.add.reduce(w.swapaxes(1, 2) @ da[t][..., None],
+                                             axis=0, initial=0.0)[:, 0]
+                    assert same_bits(step_sum, want)
+
+
+def test_reversed_row_reduce_adds_the_rows_in_turn():
+    """The weight-gradient sum rests on this: `np.add.reduce` of a layer's
+    rows [T, n] in reverse time order, from `initial=0.0`, equals adding
+    rows T-1, ..., 0 one at a time to zeros, in value and in sign bit, for
+    the width n of every recurrent layer (H 1-33, input width 1 or H) and
+    T 1-16. The exception: when the kept axis is 1 wide (n = 1) and
+    T >= 8, numpy sums the rows pairwise and rounds differently; no layer
+    is that narrow."""
+    rng = np.random.default_rng(2)
+    inits = (cells.init_gru, cells.init_lstm,
+             lambda d, h, rng: cells.init_grud(d, h, rng))
+    widths = {sum(t.size for t in init(d, h, rng).tensors().values())
+              for h in range(1, 34) for d in {1, h} for init in inits}
+    assert min(widths) >= 9
+    for n in sorted(widths):
+        for t_len in range(1, 17):
+            rows = rng.standard_normal((t_len, n))
+            rows[:, ::3] = -0.0  # all -0.0 columns sum to +0.0 from 0.0
+            want = np.zeros(n)
+            for t in range(t_len - 1, -1, -1):
+                want += rows[t]
+            grad = np.zeros(n + 4)
+            np.add.reduce(rows[::-1], axis=0, initial=0.0, out=grad[2:-2])
+            assert same_bits(grad[2:-2], want)

@@ -234,7 +234,30 @@ def test_cli_benchmark_outputs_and_byte_determinism(tmp_path):
     assert manifest["config"]["seed"] == 5
     # the per-job seeds are derived, not settings
     assert "seed" not in manifest["config"]["train"]
-    assert "seed" not in manifest["config"]["synth"]
+    assert "seed" not in manifest["config"]["data"]["synth"]
+
+
+@pytest.mark.parametrize("source", ["synth", "csv"])
+def test_cli_train_manifest_config_feeds_back_as_config(tmp_path, source):
+    """A `train` manifest's config, fed back as `--config` without `--seed`,
+    reruns the job: the same config and results.csv byte for byte."""
+    doc = dict(TINY, models=[{"variant": "gru-d"}])
+    if source == "csv":
+        csv_path = tmp_path / "one.csv"
+        ex.write_series_csv([ex.synth_series(tiny_config(), 0)], csv_path)
+        doc["data"] = {"csv": str(csv_path)}
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    assert cli.main(["train", "--config", write_config(tmp_path, doc),
+                     "--out", str(out1), "--seed", "3"]) == 0
+    fed_back = json.loads((out1 / "run_manifest.json").read_text())["config"]
+    (tmp_path / "fed_back.json").write_text(json.dumps(fed_back))
+    assert cli.main(["train", "--config", str(tmp_path / "fed_back.json"),
+                     "--out", str(out2)]) == 0
+    assert ex.config_from_json(fed_back) == ex.config_from_json(doc, seed=3)
+    assert ((out1 / "results.csv").read_bytes()
+            == (out2 / "results.csv").read_bytes())
+    assert ((out1 / "run_manifest.json").read_bytes()
+            == (out2 / "run_manifest.json").read_bytes())
 
 
 def test_cli_train_writes_model_and_curves(tmp_path):

@@ -194,6 +194,15 @@ def test_bptt_matches_finite_differences_closely():
             assert abs(a - num) / max(abs(a), abs(num), 1e-8) < 1e-6
 
 
+def per_step_input_grad(kind, layer, da):
+    """A step's input grad from its gate grads [G, H], summed as one step
+    would: 0.0 + f + i + o + g for the LSTM, (c + r) + z otherwise."""
+    if kind == "lstm":
+        return (0.0 + layer.w_f.T @ da[0] + layer.w_i.T @ da[1]
+                + layer.w_o.T @ da[2] + layer.w_g.T @ da[3])
+    return layer.w_c.T @ da[2] + layer.w_r.T @ da[0] + layer.w_z.T @ da[1]
+
+
 def per_step_reference(kind, layer, cache, outs):
     """Each tensor's gradient as a reverse-time `+=` of per-step
     `np.outer(factor, operand)` terms on the gate-gradient rows [G, H] the
@@ -211,7 +220,8 @@ def per_step_reference(kind, layer, cache, outs):
             terms[f"u_{g}"] = np.outer(f, c["rz"][0] * h if g == "c" else h)
             terms[f"b_{g}"] = f
         if kind == "gru-d":
-            da, _, dh_hat, dx_hat = outs[t]
+            da, _, dh_hat = outs[t]
+            dx_hat = per_step_input_grad(kind, layer, da)
             for g, f in zip(gates, da):
                 terms[f"v_{g}"] = np.outer(f, c["m"])
             da_h = np.where(c["pre_h"] > 0.0,
@@ -260,6 +270,73 @@ def test_window_weight_grads_keep_the_per_step_association(variant, depth,
             got = grads[f"layers.{li}.{name}"]
             assert np.array_equal(got, want), f"layers.{li}.{name}"
             assert np.any(got != 0.0), f"layers.{li}.{name} is all zero"
+
+
+def time_major_backward(model, trace, y):
+    """The loss gradient by one time loop over all layers, the top layer
+    first at each step: each layer's per-step input grad goes straight to
+    the layer below, and each weight grad is a reverse-time sum of per-step
+    outer products (`per_step_reference`)."""
+    spec, n = model.spec, len(model.layers)
+    grad = np.zeros_like(model.theta)
+    views = model.unflatten(grad)
+    dy = 2.0 * (trace["y_hat"] - y)
+    views["head.w"][...] += dy * trace["h_final"]
+    views["head.b"][...] += dy
+    kinds = [network._layer_kind(spec, li) for li in range(n)]
+    bws = [cells.backward_cache(kind, cache)
+           for kind, cache in zip(kinds, trace["caches"])]
+    t_len = len(bws[0]["da"])
+    dh = [np.zeros(spec.hidden_size) for _ in range(n)]
+    dc = [np.zeros(spec.hidden_size) for _ in range(n)]
+    dh[-1] = dy * model.head_w
+    outs = [[None] * t_len for _ in range(n)]
+    for t in range(t_len - 1, -1, -1):
+        dx_above = None
+        for li in range(n - 1, -1, -1):
+            d_out = dh[li] if dx_above is None else dh[li] + dx_above
+            layer, bw = model.layers[li], bws[li]
+            if kinds[li] == "lstm":
+                out = cells.lstm_step_backward(layer, bw, t, d_out, dc[li])
+                dc[li] = out[2]
+            elif kinds[li] == "gru-d":
+                out = cells.grud_step_backward(layer, bw, t, d_out)
+            else:
+                out = cells.gru_step_backward(layer, bw, t, d_out)
+            outs[li][t], dh[li] = out, out[1]
+            dx_above = per_step_input_grad(kinds[li], layer, out[0])
+    for li, layer in enumerate(model.layers):
+        ref = per_step_reference(kinds[li], layer, trace["caches"][li],
+                                 outs[li])
+        for name, want in ref.items():
+            views[f"layers.{li}.{name}"][...] = want
+    return grad
+
+
+@pytest.mark.parametrize("variant,depth", [("gru", 2), ("gru", 3),
+                                           ("gru-d", 2), ("gru-d", 3),
+                                           ("lstm", 1), ("lstm", 2),
+                                           ("lstm", 3)])
+def test_layer_by_layer_backward_equals_the_time_major_loop(variant, depth):
+    """`network.backward`, layer by layer with each input gradient formed
+    once per window, equals the time-major reference bit for bit, sign bits
+    of zeros included (H = 5, gru-d windows with missing entries)."""
+    rng = new_rng(47)
+    model = network.build_model(
+        network.ModelSpec(variant, hidden_size=5, recurrent_depth=depth), rng,
+        x_mean=np.array([0.5]))
+    for t in model.named_tensors().values():
+        t[...] = rng.standard_normal(t.shape)
+    for seed in range(3):
+        sample = make_sample(new_rng(seed),
+                             missing=0.5 if variant == "gru-d" else 0.0)
+        _, trace = network.forward(model, sample)
+        got = network.backward(model, trace, sample.y)
+        want = time_major_backward(model, trace, sample.y)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        if variant == "gru-d":
+            assert np.isnan(sample.x).any()
 
 
 @pytest.mark.parametrize("variant,depth", [("gru", 1), ("gru-d", 1),
