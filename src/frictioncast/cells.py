@@ -5,9 +5,10 @@ missing data, a standard LSTM for the baseline, and a tanh layer for the
 feed-forward baseline. Both gated recurrent cells share one private gate
 update and its backward pass; the decay cell is a preamble over it that
 decays the input and the carried state and adds the mask terms V·m to each
-gate. A layer's tensors are one flat vector, gate-fused: the blocks W, U, b
-(and V) hold one row per gate, and the per-gate fields (`w_r`, `u_z`, ...)
-are views of those rows.
+gate. A layer's parameters are its dataclass fields, laid out in one flat
+vector in declaration order (`_Params.lay_out`): a gated layer's blocks W,
+U, b (and V) hold one row per gate, and the per-gate names (`w_r`, `u_z`,
+...) are only the names of those rows, as `model.json` keys them.
 
 The forward runs one layer at a time over B windows [B, T, D]
 (`gru_layer`, `grud_layer`, `lstm_layer`). A layer first does the work that
@@ -40,6 +41,7 @@ kink).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
@@ -50,95 +52,88 @@ from .linalg import sigmoid
 from .missingness import last_observed
 
 class _Params:
-    """One layer's trainable tensors, kept in one flat vector in gate-fused
-    order: each block of `_BLOCKS` (an attribute [G, H, ·] and the per-gate
-    fields that are its rows) in turn, then the other trainable fields in
-    declaration order. Fields and blocks are views into that vector."""
+    """One layer's trainable tensors: its dataclass fields, laid out along
+    one vector in declaration order, each a view into it (`lay_out`). In a
+    gated layer the blocks W, U, b (and V) hold one row per gate of `GATES`;
+    `tensors` gives each row its name (`w_z` is row z of W), and so does
+    attribute access, as a view that writes through."""
 
-    _BLOCKS: ClassVar[tuple] = ()
+    GATES: ClassVar[str] = ""
 
     def __post_init__(self):
-        self.bind(np.empty(sum(np.size(t) for t in self.tensors().values())))
+        # the layout, worked out once: each trainable field's name, slot, shape
+        slots, stop = [], 0
+        for f in fields(self):
+            if f.metadata.get("trained", True):
+                shape = np.shape(getattr(self, f.name))
+                start, stop = stop, stop + math.prod(shape)
+                slots.append((f.name, slice(start, stop), shape))
+        self._slots = tuple(slots)
+        self.bind(np.empty(stop))
 
-    def tensors(self) -> dict[str, np.ndarray]:
-        """Trainable tensors by field name, in declaration order."""
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.metadata.get("trained", True)}
-
-    def bind(self, vec: np.ndarray) -> dict[str, tuple[int, int]]:
+    def bind(self, vec: np.ndarray) -> None:
         """Copy the trainable values into `vec`, a vector of the layer's
-        size, and rebind every field and block as a view into it; returns
-        each field's (start, stop) in `vec`, in declaration order."""
-        fused = {name for _, names in self._BLOCKS for name in names}
-        groups = [*self._BLOCKS, *((None, (name,)) for name in self.tensors()
-                                   if name not in fused)]
-        spans, start = {}, 0
-        for block, names in groups:
-            rows = np.array([getattr(self, name) for name in names],
-                            dtype=np.float64)
-            view = vec[start:start + rows.size].reshape(rows.shape)
-            view[...] = rows
-            for name, row in zip(names, view):
-                setattr(self, name, row)
-                spans[name] = (start, start + row.size)
-                start += row.size
-            if block is not None:
-                setattr(self, block, view)
-        return {name: spans[name] for name in self.tensors()}
+        size, and rebind every field as a view into it."""
+        for (name, _, _), view in zip(self._slots, self.lay_out(vec)):
+            view[...] = getattr(self, name)
+            setattr(self, name, view)
 
+    def lay_out(self, arr: np.ndarray) -> list[np.ndarray]:
+        """The layer's layout along the last axis of `arr` [..., n]: a view
+        [..., *shape] of each trainable field's slot, in declaration order."""
+        lead = arr.shape[:-1]
+        return [arr[..., s].reshape(lead + shape)
+                for _, s, shape in self._slots]
 
-def _fused(gates: str, blocks: str = "WUb") -> tuple:
-    """`_BLOCKS` whose block k stacks the fields k_<gate>, lower-cased, of
-    each gate in order: "W" stacks w_r, w_z, w_c for gates "rzc"."""
-    return tuple((k, tuple(f"{k.lower()}_{g}" for g in gates)) for k in blocks)
+    def tensors(self, vec: np.ndarray | None = None) -> dict[str, np.ndarray]:
+        """The trainable tensors by their `model.json` names, as views of the
+        fields (or of `vec`, a vector in the layer's layout): in a gated
+        layer the rows of W, U and b gate by gate, then V's rows; then each
+        other field whole."""
+        names = [name for name, _, _ in self._slots]
+        by_field = dict(zip(names, self.lay_out(vec) if vec is not None
+                            else (getattr(self, k) for k in names)))
+        blocks = ("W", "U", "b", "V") if self.GATES else ()
+        out = {f"{k.lower()}_{gate}": by_field[k][i]
+               for group in (blocks[:3], blocks[3:])
+               for i, gate in enumerate(self.GATES)
+               for k in group if k in by_field}
+        out.update((k, t) for k, t in by_field.items() if k not in blocks)
+        return out
+
+    def __getattr__(self, name: str):
+        # a row name of `tensors` (`p.v_r`): a view of its block row
+        if not name.startswith("_") and name in (rows := self.tensors()):
+            return rows[name]
+        raise AttributeError(f"{type(self).__name__!r} has no attribute "
+                             f"{name!r}")
 
 
 @dataclass
 class GruParams(_Params):
-    w_r: np.ndarray  # [H, D]
-    u_r: np.ndarray  # [H, H]
-    b_r: np.ndarray  # [H]
-    w_z: np.ndarray
-    u_z: np.ndarray
-    b_z: np.ndarray
-    w_c: np.ndarray  # candidate-state weights
-    u_c: np.ndarray
-    b_c: np.ndarray
-    # W [3, H, D], U [3, H, H], b [3, H]
-    _BLOCKS: ClassVar[tuple] = _fused("rzc")
+    W: np.ndarray  # [3, H, D]
+    U: np.ndarray  # [3, H, H]
+    b: np.ndarray  # [3, H]
+    GATES: ClassVar[str] = "rzc"  # reset, update, candidate state
 
 
 @dataclass
 class GrudParams(GruParams):
-    v_r: np.ndarray        # [H, D] mask weights
-    v_z: np.ndarray
-    v_c: np.ndarray
+    V: np.ndarray          # [3, H, D] mask weights
     w_decay_x: np.ndarray  # [D] diagonal per-variable input decay
     b_decay_x: np.ndarray  # [D]
     w_decay_h: np.ndarray  # [H, D] hidden decay
     b_decay_h: np.ndarray  # [H]
     # [D] frozen training mean; a buffer, not a trainable tensor
     x_mean: np.ndarray = field(default=None, metadata={"trained": False})
-    # and V [3, H, D]; the decay tensors follow unfused
-    _BLOCKS: ClassVar[tuple] = _fused("rzc", "WUbV")
 
 
 @dataclass
 class LstmParams(_Params):
-    w_f: np.ndarray
-    u_f: np.ndarray
-    b_f: np.ndarray
-    w_i: np.ndarray
-    u_i: np.ndarray
-    b_i: np.ndarray
-    w_o: np.ndarray
-    u_o: np.ndarray
-    b_o: np.ndarray
-    w_g: np.ndarray
-    u_g: np.ndarray
-    b_g: np.ndarray
-    # W [4, H, D], U [4, H, H], b [4, H]
-    _BLOCKS: ClassVar[tuple] = _fused("fiog")
+    W: np.ndarray  # [4, H, D]
+    U: np.ndarray  # [4, H, H]
+    b: np.ndarray  # [4, H]
+    GATES: ClassVar[str] = "fiog"  # forget, input, output, candidate
 
 
 @dataclass
@@ -170,7 +165,7 @@ def _check(name: str, got, want) -> None:
 
 
 def _project(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Input projections W·x of windows x [B, T, D] by a fused block w
+    """Input projections W·x of windows x [B, T, D] by a gate block w
     [G, H, D], time-major: [T, G, B, H, 1], one gemv per row and gate."""
     return w[:, None] @ x.swapaxes(0, 1)[:, None, :, :, None]
 
@@ -257,13 +252,14 @@ def _gates_backward(p: GruParams, bw: dict, t: int, h_prev, dh):
     rz, om_rz = bw["rz"][t], bw["om_rz"][t]
     np.multiply(dh, rz[1], da[2])  # dc
     da[2] *= bw["om_cc"][t]
-    d_rh = p.u_c.T @ da[2]
+    u = p.U  # rows r, z, c
+    d_rh = u[2].T @ da[2]
     np.multiply(d_rh, h_prev, da[0])  # dr
     np.multiply(dh, bw["ch"][t], da[1])  # dz
     da_rz = da[:2]
     da_rz *= rz
     da_rz *= om_rz
-    return da, dh * om_rz[1] + d_rh * rz[0] + p.u_r.T @ da[0] + p.u_z.T @ da[1]
+    return da, dh * om_rz[1] + d_rh * rz[0] + u[0].T @ da[0] + u[1].T @ da[1]
 
 
 def window_input_grad(p, bw: dict) -> np.ndarray:
@@ -471,13 +467,17 @@ def dense_step(p: DenseParams, x: np.ndarray):
 
 
 def dense_step_backward(p: DenseParams, cache: dict, dy: np.ndarray,
-                        input_grad: bool = True):
-    """Weight grads and the input grad (None unless `input_grad`) of one
-    window's row of the layer."""
+                        grad: np.ndarray, input_grad: bool = True):
+    """Writes the weight grads of one window's row of the layer into `grad`,
+    a vector in its layout; returns the input grad (None unless
+    `input_grad`)."""
     x, y = cache["x"], cache["y"]
-    da = dy * (1.0 - y * y)
-    g = {"w": da[:, None] * x, "b": da}  # np.outer's products
-    return g, p.w.T @ da if input_grad else None
+    g_w, da = p.lay_out(grad)  # the bias grad is da = dy * (1 - y^2)
+    np.multiply(y, y, out=da)
+    np.subtract(1.0, da, out=da)
+    da *= dy
+    np.multiply(da[:, None], x, out=g_w)  # np.outer's products
+    return p.w.T @ da if input_grad else None
 
 
 # --- initialization -----------------------------------------------------------
@@ -486,12 +486,16 @@ def _weight(rng, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) / np.sqrt(cols)
 
 
+def _init_gated(cls, d: int, h: int, rng, **rest):
+    """A gated layer of `cls`: each gate's rows of W, then U, drawn gate by
+    gate; b zero; the other fields from `rest`."""
+    wu = [(_weight(rng, h, d), _weight(rng, h, h)) for _ in cls.GATES]
+    return cls(W=np.array([w for w, _ in wu]), U=np.array([u for _, u in wu]),
+               b=np.zeros((len(cls.GATES), h)), **rest)
+
+
 def init_gru(d: int, h: int, rng) -> GruParams:
-    return GruParams(
-        w_r=_weight(rng, h, d), u_r=_weight(rng, h, h), b_r=np.zeros(h),
-        w_z=_weight(rng, h, d), u_z=_weight(rng, h, h), b_z=np.zeros(h),
-        w_c=_weight(rng, h, d), u_c=_weight(rng, h, h), b_c=np.zeros(h),
-    )
+    return _init_gated(GruParams, d, h, rng)
 
 
 # Zero-initialized decay weights would sit exactly on the rectifier kink,
@@ -501,12 +505,11 @@ DECAY_WEIGHT_INIT = 0.1
 
 
 def init_grud(d: int, h: int, rng, x_mean: np.ndarray | None = None) -> GrudParams:
-    base = init_gru(d, h, rng)
-    return GrudParams(
-        **base.tensors(),
+    return _init_gated(
+        GrudParams, d, h, rng,
         # mask weights start at zero: the cell begins as a plain gated cell on
         # the decayed input and learns how much the mask channels matter
-        v_r=np.zeros((h, d)), v_z=np.zeros((h, d)), v_c=np.zeros((h, d)),
+        V=np.zeros((3, h, d)),
         w_decay_x=np.full(d, DECAY_WEIGHT_INIT),
         b_decay_x=np.zeros(d),
         w_decay_h=np.full((h, d), DECAY_WEIGHT_INIT),
@@ -516,12 +519,7 @@ def init_grud(d: int, h: int, rng, x_mean: np.ndarray | None = None) -> GrudPara
 
 
 def init_lstm(d: int, h: int, rng) -> LstmParams:
-    return LstmParams(
-        w_f=_weight(rng, h, d), u_f=_weight(rng, h, h), b_f=np.zeros(h),
-        w_i=_weight(rng, h, d), u_i=_weight(rng, h, h), b_i=np.zeros(h),
-        w_o=_weight(rng, h, d), u_o=_weight(rng, h, h), b_o=np.zeros(h),
-        w_g=_weight(rng, h, d), u_g=_weight(rng, h, h), b_g=np.zeros(h),
-    )
+    return _init_gated(LstmParams, d, h, rng)
 
 
 def init_dense(d_in: int, d_out: int, rng) -> DenseParams:

@@ -1,8 +1,9 @@
 """Command-line entry point for the experiment harness.
 
 Subcommands: synth, train, benchmark, sweep, decay-curve, gradcheck.
-All outputs land in the --out directory; a run_manifest.json capturing the
-resolved configuration is written beside them.
+All outputs land in the --out directory, beside a run_manifest.json naming
+the command and its inputs: the resolved configuration of a grid command,
+the model path and --delta-max of decay-curve. gradcheck only prints.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ def cmd_synth(args) -> int:
               for i in range(config.n_seeds)]
     path = out / "synthetic.csv"
     experiments.write_series_csv(series, path)
-    experiments.write_manifest(config, out / "run_manifest.json", "synth")
+    experiments.write_manifest(out / "run_manifest.json", "synth",
+                               config=experiments.config_to_json(config))
     print(f"wrote {path} ({sum(len(s.values) for s in series)} rows)")
     return 0
 
@@ -98,7 +100,8 @@ def cmd_train(args) -> int:
     experiments.export_loss_curves([(entry.label, report)],
                                    out / "loss_curves.csv")
     network.save_model(model, out / "model.json")
-    experiments.write_manifest(config, out / "run_manifest.json", "train")
+    experiments.write_manifest(out / "run_manifest.json", "train",
+                               config=experiments.config_to_json(config))
     print(f"{entry.label} rate={rate}: mae={row.mae:.4f} mse={row.mse:.5f} "
           f"mape={row.mape_percent:.2f}% (best epoch {row.best_epoch})")
     return 0
@@ -110,7 +113,8 @@ def cmd_benchmark(args) -> int:
     table = experiments.run_benchmark(config, threads=args.threads)
     experiments.write_results_csv(table, out / "results.csv")
     experiments.write_aggregates_csv(table, out / "aggregates.csv")
-    experiments.write_manifest(config, out / "run_manifest.json", "benchmark")
+    experiments.write_manifest(out / "run_manifest.json", "benchmark",
+                               config=experiments.config_to_json(config))
     for agg in table.aggregates():
         label = agg["model"] if agg["imputation"] == "none" \
             else f"{agg['model']}+{agg['imputation']}"
@@ -126,7 +130,8 @@ def cmd_sweep(args) -> int:
     table = experiments.sweep_missing_rates(config, threads=args.threads)
     experiments.write_results_csv(table, out / "results.csv")
     experiments.write_aggregates_csv(table, out / "sweep_aggregates.csv")
-    experiments.write_manifest(config, out / "run_manifest.json", "sweep")
+    experiments.write_manifest(out / "run_manifest.json", "sweep",
+                               config=experiments.config_to_json(config))
     print(f"swept rates {list(config.missing_rates)} over "
           f"{config.n_seeds} seeds -> {out / 'sweep_aggregates.csv'}")
     return 0
@@ -138,6 +143,8 @@ def cmd_decay_curve(args) -> int:
     curve = experiments.export_decay_curve(model, delta_max=args.delta_max)
     path = out / "decay_curve.csv"
     experiments.write_decay_curve_csv(curve, path)
+    experiments.write_manifest(out / "run_manifest.json", "decay-curve",
+                               model=args.model, delta_max=args.delta_max)
     print(f"wrote {path} ({len(curve)} points)")
     return 0
 

@@ -418,8 +418,9 @@ def write_decay_curve_csv(curve: list[tuple[float, float]], path) -> None:
             w.writerow([_fmt(d), _fmt(gamma)])
 
 
-def write_manifest(config: ExperimentConfig, path, command: str) -> None:
-    doc = {"command": command, "config": config_to_json(config)}
+def write_manifest(path, command: str, **inputs) -> None:
+    """A command's `run_manifest.json`: its name and what it ran from."""
+    doc = {"command": command, **inputs}
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -1,11 +1,12 @@
 """Sequence models with a scalar regression head, exact BPTT, persistence.
 
 A model is a stack of cells (depth-1 by default) plus a linear readout on the
-final hidden state; its trainable tensors are views into one flat vector.
-Each layer's slice of it is laid out gate-fused (`cells._Params`), while the
-named tensors, `unflatten` and `model.json` keep declaration order. The
-decay variant consumes the raw mask/interval channels of a sample; every
-other variant requires fully observed (or pre-imputed) input.
+final hidden state; its trainable tensors are views into one flat vector,
+each layer's fields in declaration order (`cells._Params.lay_out`), then the
+head. The named tensors, `unflatten` and `model.json` name a gated layer's
+block rows per gate (`layers.0.w_r`, ...). The decay variant consumes the
+raw mask/interval channels of a sample; every other variant requires fully
+observed (or pre-imputed) input.
 
 The forward pass runs layer by layer over a batch of same-length windows
 (`cells` holds the layers). `predict` scores B windows in one call; its entry
@@ -24,7 +25,7 @@ import copy
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -53,10 +54,12 @@ class ModelSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; one of {VARIANTS}")
-        if self.input_dim < 1 or self.hidden_size < 1:
-            raise ConfigError("input_dim and hidden_size must be >= 1")
-        if self.recurrent_depth < 1 or self.ffnn_hidden_layers < 1:
-            raise ConfigError("layer counts must be >= 1")
+        for f in fields(self)[1:]:  # the sizes and counts
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ConfigError(f"{f.name} must be >= 1, got {value}")
 
 
 @dataclass
@@ -74,36 +77,28 @@ class Model:
         bounds = [0, *itertools.accumulate(
             sum(t.size for t in layer.tensors().values()) for layer in self.layers)]
         self._layer_spans = tuple(zip(bounds, bounds[1:]))
-        start = bounds[-1]
-        self.theta = np.empty(start + self.head_w.size + self.head_b.size)
-        # (path, start, stop, shape) in declaration order, fixed; within its
-        # layer's contiguous span a tensor sits at its gate-fused offset
-        layout = []
-        for i, (layer, (lo, hi)) in enumerate(zip(self.layers,
-                                                  self._layer_spans)):
-            for name, (a, b) in layer.bind(self.theta[lo:hi]).items():
-                layout.append((f"layers.{i}.{name}", lo + a, lo + b,
-                               getattr(layer, name).shape))
-        for path, attr in (("head.w", "head_w"), ("head.b", "head_b")):
-            t = getattr(self, attr)
-            view = self.theta[start:start + t.size].reshape(t.shape)
-            view[...] = t
-            setattr(self, attr, view)
-            layout.append((path, start, start + t.size, t.shape))
-            start += t.size
-        self._layout = tuple(layout)
+        head = bounds[-1]
+        self.theta = np.empty(head + self.head_w.size + 1)
+        for layer, (lo, hi) in zip(self.layers, self._layer_spans):
+            layer.bind(self.theta[lo:hi])
+        self.theta[head:] = np.concatenate([self.head_w, self.head_b])
+        self.head_w, self.head_b = self.theta[head:-1], self.theta[-1:]
 
     def __deepcopy__(self, memo) -> "Model":
-        # views copied one by one lose theta; the constructor relinks the
-        # fields and the fused blocks
+        # views copied one by one lose theta; the constructor relinks them
         return Model(spec=self.spec, layers=copy.deepcopy(self.layers, memo),
                      head_w=self.head_w.copy(), head_b=self.head_b.copy(),
                      train_stats=copy.deepcopy(self.train_stats, memo))
 
     def unflatten(self, vec: np.ndarray) -> dict[str, np.ndarray]:
-        """Views into a vector in theta's layout, keyed by dotted path."""
-        return {name: vec[start:stop].reshape(shape)
-                for name, start, stop, shape in self._layout}
+        """Views into a vector in theta's layout, keyed by dotted path: each
+        layer's `tensors`, then the head."""
+        views = {f"layers.{i}.{name}": t
+                 for i, (layer, (lo, hi)) in enumerate(zip(self.layers,
+                                                           self._layer_spans))
+                 for name, t in layer.tensors(vec[lo:hi]).items()}
+        head = self._layer_spans[-1][1]
+        return views | {"head.w": vec[head:-1], "head.b": vec[-1:]}
 
     def named_tensors(self) -> dict[str, np.ndarray]:
         """Trainable tensors keyed by a stable dotted path (views, mutable)."""
@@ -226,43 +221,31 @@ def loss_mse(y_hat: float, y: float) -> float:
 
 def _weight_rows(kind: str, layer, bw: dict, n: int) -> np.ndarray:
     """Per-step weight-gradient rows [T, n] of one recurrent layer in its
-    gate-fused θ order (`cells._Params`), from one window's `backward_cache`
+    layout (`cells._Params.lay_out`), from one window's `backward_cache`
     once the step kernels have filled its gate-gradient buffer [T, G, H]:
-    one broadcast product per block, each row of it a per-step outer product
-    of a gate factor and an operand the forward cached."""
+    one broadcast product per field, each row of it a per-step outer
+    product of a gate factor and an operand the forward cached."""
     da = bw["da"]
-    t_len, n_gates, h_dim = da.shape
     x, h = bw["x"], bw["h_hat" if kind == "gru-d" else "h_prev"]  # x: x_hat
-    d_dim = x.shape[1]
-    rows = np.empty((t_len, n))
-    at = 0
-
-    def block(*shape):  # the next block's columns, viewed [T, *shape]
-        nonlocal at
-        size = math.prod(shape)
-        at += size
-        return rows[:, at - size:at].reshape(t_len, *shape)
-
-    np.multiply(da[..., None], x[:, None, None], out=block(n_gates, h_dim, d_dim))
-    u = block(n_gates, h_dim, h_dim)
+    rows = np.empty((len(da), n))
+    w, u, b, *decay = layer.lay_out(rows)
+    np.multiply(da[..., None], x[:, None, None], out=w)
     if kind == "lstm":
         np.multiply(da[..., None], h[:, None, None], out=u)
     else:  # the candidate's U acts on r * h_prev
         np.multiply(da[:, :2, :, None], h[:, None, None], out=u[:, :2])
         np.multiply(da[:, 2, :, None], (bw["rz"][:, 0] * h)[:, None],
                     out=u[:, 2])
-    block(n_gates, h_dim)[...] = da
+    b[...] = da
     if kind == "gru-d":
-        np.multiply(da[..., None], bw["m"][:, None, None],
-                    out=block(n_gates, h_dim, d_dim))
+        v, w_decay_x, b_decay_x, w_decay_h, b_decay_h = decay
+        np.multiply(da[..., None], bw["m"][:, None, None], out=v)
         da_x, da_h = cells.grud_decay_backward(layer, bw)
         delta = bw["delta"]
-        np.multiply(da_x, delta, out=block(d_dim))
-        block(d_dim)[...] = da_x
-        np.multiply(da_h[..., None], delta[:, None], out=block(h_dim, d_dim))
-        block(h_dim)[...] = da_h
-    if at != n:
-        raise ShapeError(f"{kind} weight rows fill {at} of {n} columns")
+        np.multiply(da_x, delta, out=w_decay_x)
+        b_decay_x[...] = da_x
+        np.multiply(da_h[..., None], delta[:, None], out=w_decay_h)
+        b_decay_h[...] = da_h
     return rows
 
 
@@ -286,12 +269,10 @@ def backward(model: Model, trace: dict, y: float) -> np.ndarray:
         dv = dh_final
         for li in range(len(model.layers) - 1, -1, -1):
             # the bottom layer's input gradient feeds nothing
-            g, dv = cells.dense_step_backward(model.layers[li],
-                                              trace["caches"][li], dv,
-                                              input_grad=li > 0)
-            start, stop = model._layer_spans[li]  # w, then b
-            grad[start:stop - g["b"].size] += g["w"].reshape(-1)
-            grad[stop - g["b"].size:stop] += g["b"]
+            start, stop = model._layer_spans[li]
+            dv = cells.dense_step_backward(model.layers[li], trace["caches"][li],
+                                           dv, grad[start:stop],
+                                           input_grad=li > 0)
         return grad
 
     d_above = None  # the input gradient [T, H] of the layer above
@@ -392,6 +373,8 @@ def _tensor_from_doc(doc, path, key: str, shape: tuple) -> np.ndarray:
     if data.ndim != 1 or data.size != math.prod(shape):
         raise ConfigError(f"{path}: {key}: {data.size} values do not fill "
                           f"shape {list(shape)}")
+    if not np.isfinite(data).all():  # JSON null reads as NaN
+        raise ConfigError(f"{path}: {key} holds a non-finite value")
     return data.reshape(shape)
 
 
@@ -449,4 +432,6 @@ def load_model(path) -> Model:
         model.train_stats = TrainStats(*(
             _tensor_from_doc(stats.get(k), path, f"train_stats.{k}", d)
             for k in ("mean", "max_interval")))
+        if np.any(model.train_stats.max_interval <= 0.0):
+            raise ConfigError(f"{path}: train_stats.max_interval must be > 0")
     return model

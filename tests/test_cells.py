@@ -1,4 +1,3 @@
-import copy
 import math
 
 import numpy as np
@@ -160,8 +159,7 @@ def test_decay_rate_range_and_floor_condition():
 def grud_from_gru(gru, d, h, x_mean):
     """Decay cell sharing the plain cell's weights, all new parts zero."""
     return cells.GrudParams(
-        **{k: v.copy() for k, v in gru.tensors().items()},
-        v_r=np.zeros((h, d)), v_z=np.zeros((h, d)), v_c=np.zeros((h, d)),
+        W=gru.W.copy(), U=gru.U.copy(), b=gru.b.copy(), V=np.zeros((3, h, d)),
         w_decay_x=np.zeros(d), b_decay_x=np.zeros(d),
         w_decay_h=np.zeros((h, d)), b_decay_h=np.zeros(h),
         x_mean=x_mean,
@@ -319,6 +317,29 @@ def test_init_deterministic():
         assert na == nb and np.array_equal(ta, tb)
 
 
+@pytest.mark.parametrize("init", [cells.init_gru, cells.init_lstm,
+                                  cells.init_grud], ids=lambda f: f.__name__)
+def test_init_draws_w_then_u_gate_by_gate(init):
+    """`model.json` bytes follow the draw order: each gate's row of W, then
+    its row of U, gate by gate, and nothing else is drawn."""
+    d, h = 2, 3
+    rng = new_rng(9)
+    p = init(d, h, rng)
+    hand = new_rng(9)
+    for g in range(len(p.GATES)):
+        assert np.array_equal(p.W[g], hand.standard_normal((h, d)) / np.sqrt(d))
+        assert np.array_equal(p.U[g], hand.standard_normal((h, h)) / np.sqrt(h))
+    assert rng.standard_normal() == hand.standard_normal()
+    assert np.array_equal(p.b, np.zeros((len(p.GATES), h)))
+    if init is cells.init_grud:
+        assert np.array_equal(p.V, np.zeros((3, h, d)))
+        for name, shape in (("w_decay_x", (d,)), ("w_decay_h", (h, d))):
+            assert np.array_equal(getattr(p, name),
+                                  np.full(shape, cells.DECAY_WEIGHT_INIT))
+        assert np.array_equal(p.b_decay_x, np.zeros(d))
+        assert np.array_equal(p.b_decay_h, np.zeros(h))
+
+
 def test_init_contract():
     p = cells.init_grud(1, 4, new_rng(0))
     assert np.all(p.b_r == 0) and np.all(p.b_z == 0) and np.all(p.b_c == 0)
@@ -375,14 +396,11 @@ def window_weight_grads(kind, p, cache, dh):
             outs[t] = cells.gru_step_backward(p, bw, t, dh)
         dh = outs[t][1]
     n = sum(t.size for t in p.tensors().values())
-    spans = copy.deepcopy(p).bind(np.empty(n))  # each field's gate-fused offset
     rows = network._weight_rows(kind, p, bw, n)
-    total = np.zeros(rows.shape[1])
+    total = np.zeros(n)
     for t in range(t_len - 1, -1, -1):
         total += rows[t]
-    grads = {name: total[lo:hi].reshape(np.shape(getattr(p, name)))
-             for name, (lo, hi) in spans.items()}
-    return grads, outs, cells.window_input_grad(p, bw)
+    return p.tensors(total), outs, cells.window_input_grad(p, bw)
 
 
 def assert_grads_close(analytic, numeric, tol=1e-6, skip=()):

@@ -482,3 +482,17 @@ def test_cli_decay_curve_rejects_too_many_points_before_allocating(
         err = capsys.readouterr().err
         assert "delta_max" in err and "Traceback" not in err
     assert not (tmp_path / "decay_curve.csv").exists()
+
+
+def test_cli_decay_curve_writes_a_manifest_naming_its_inputs(tmp_path):
+    # decay-curve used to leave only decay_curve.csv
+    model = network.build_model(network.ModelSpec("gru-d", hidden_size=3),
+                                new_rng(0), x_mean=np.array([0.5]))
+    path = str(tmp_path / "model.json")
+    network.save_model(model, path)
+    out = tmp_path / "dc"
+    assert cli.main(["decay-curve", "--model", path, "--out", str(out),
+                     "--delta-max", "4"]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest == {"command": "decay-curve", "model": path,
+                        "delta_max": 4.0}

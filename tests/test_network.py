@@ -1,11 +1,12 @@
 import copy
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from frictioncast import cells, network, timeseries
+from frictioncast import cells, cli, network, timeseries
 from frictioncast.errors import ConfigError, ShapeError, UnimputedValueError
 from frictioncast.linalg import new_rng
 from frictioncast.missingness import compute_intervals, compute_mask
@@ -458,9 +459,58 @@ def _short_data(doc):
     return "layers.0.w_c: 3 values do not fill shape [4, 1]"
 
 
-@pytest.mark.parametrize("edit", [_drop_tensor, _add_tensor, _shrink_tensor,
-                                  _short_data],
-                         ids=lambda f: f.__name__.strip("_"))
+def _null_weight(doc):  # JSON null used to load as a NaN weight
+    doc["tensors"]["layers.0.w_c"]["data"][0] = None
+    return "layers.0.w_c holds a non-finite value"
+
+
+def _nan_x_mean(doc):
+    doc["x_mean"] = {"shape": [1], "data": [math.nan]}
+    return "x_mean holds a non-finite value"
+
+
+def _train_stats(mean, max_interval):
+    return {"mean": {"shape": [1], "data": [mean]},
+            "max_interval": {"shape": [1], "data": [max_interval]}}
+
+
+def _infinite_stats_mean(doc):
+    doc["train_stats"] = _train_stats(math.inf, 3.0)
+    return "train_stats.mean holds a non-finite value"
+
+
+def _negative_max_interval(doc):  # the simple imputer divides by it
+    doc["train_stats"] = _train_stats(0.5, -1.0)
+    return "train_stats.max_interval must be > 0"
+
+
+def _float_hidden_size(doc):  # used to end in a numpy TypeError
+    doc["spec"]["hidden_size"] = 4.5
+    return "bad model spec: hidden_size must be an integer, got 4.5"
+
+
+def _bool_hidden_size(doc):
+    doc["spec"]["hidden_size"] = True
+    return "bad model spec: hidden_size must be an integer, got True"
+
+
+def _float_depth(doc):
+    doc["spec"]["recurrent_depth"] = 1.0
+    return "bad model spec: recurrent_depth must be an integer, got 1.0"
+
+
+def _negative_window(doc):  # used to end in a raw ValueError
+    doc["spec"].update(variant="ffnn", window_len=-1)
+    return "bad model spec: window_len must be >= 1, got -1"
+
+
+LOAD_EDITS = [_drop_tensor, _add_tensor, _shrink_tensor, _short_data,
+              _null_weight, _nan_x_mean, _infinite_stats_mean,
+              _negative_max_interval, _float_hidden_size, _bool_hidden_size,
+              _float_depth, _negative_window]
+
+
+@pytest.mark.parametrize("edit", LOAD_EDITS, ids=lambda f: f.__name__.strip("_"))
 def test_load_rejects_tensors_that_do_not_fit_the_layout(tmp_path, edit):
     path, doc = _saved_gru(tmp_path)
     message = edit(doc)
@@ -469,6 +519,20 @@ def test_load_rejects_tensors_that_do_not_fit_the_layout(tmp_path, edit):
         network.load_model(path)
     assert str(exc.value).startswith(f"{path}: ")
     assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("edit", LOAD_EDITS, ids=lambda f: f.__name__.strip("_"))
+def test_cli_names_the_file_and_key_of_a_model_that_does_not_load(
+        tmp_path, capsys, edit):
+    path, doc = _saved_gru(tmp_path)
+    message = edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["decay-curve", "--model", str(path),
+                     "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "decay_curve.csv").exists()
 
 
 def test_forward_shape_check():
@@ -481,30 +545,40 @@ def test_forward_shape_check():
 # --- one parameter vector ----------------------------------------------------
 
 def assert_fields_are_views_of_theta(model):
-    """Every field the kernels read is theta[start:stop] of its layout
-    entry, the entries tile theta, and each fused block is a view of theta
-    whose row g is the gate-g field."""
-    fields = {f"layers.{i}.{name}": t for i, layer in enumerate(model.layers)
-              for name, t in layer.tensors().items()}
-    fields["head.w"] = model.head_w
-    fields["head.b"] = model.head_b
-    assert list(fields) == [name for name, *_ in model._layout]
-    assert list(model.named_tensors()) == list(fields)
-    spans = sorted((start, stop) for _, start, stop, _ in model._layout)
-    assert [stop for _, stop in spans[:-1]] == [start for start, _ in spans[1:]]
-    assert (spans[0][0], spans[-1][1]) == (0, model.theta.size)
+    """The layers' trainable fields in declaration order, then the head, tile
+    theta; every named tensor is a view of theta over one span, the spans
+    tile theta too, and each per-gate name is a row of its block that writes
+    through to theta."""
     saved = model.theta.copy()
     model.theta[...] = np.arange(model.theta.size)  # each entry its index
-    for name, start, stop, shape in model._layout:
-        assert fields[name].shape == shape, name
-        assert np.array_equal(fields[name].reshape(-1),
-                              np.arange(start, stop)), name
-    for layer in model.layers:
-        for block, names in layer._BLOCKS:
-            view = getattr(layer, block)
-            assert view.shape[0] == len(names) and view.base is not None
-            for g, name in enumerate(names):
-                assert np.array_equal(view[g], getattr(layer, name)), name
+    fields = [getattr(layer, f.name) for layer in model.layers
+              for f in dataclasses.fields(layer)
+              if f.metadata.get("trained", True)]
+    at = 0
+    for t in [*fields, model.head_w, model.head_b]:
+        assert np.array_equal(t.reshape(-1), np.arange(at, at + t.size))
+        at += t.size
+    assert at == model.theta.size
+    named = model.named_tensors()
+    assert list(named) == [f"layers.{i}.{name}"
+                           for i, layer in enumerate(model.layers)
+                           for name in layer.tensors()] + ["head.w", "head.b"]
+    spans = sorted((int(t.flat[0]), int(t.flat[0]) + t.size)
+                   for t in named.values())
+    assert [stop for _, stop in spans[:-1]] == [start for start, _ in spans[1:]]
+    assert (spans[0][0], spans[-1][1]) == (0, model.theta.size)
+    for t in named.values():
+        assert np.array_equal(t.reshape(-1), np.arange(t.flat[0],
+                                                       t.flat[0] + t.size))
+    for i, layer in enumerate(model.layers):
+        for name, t in layer.tensors().items():
+            key, _, gate = name.partition("_")
+            if len(gate) == 1:  # row `gate` of block W, U, b or V
+                block = getattr(layer, key if key == "b" else key.upper())
+                assert np.shares_memory(t, block)
+                assert np.array_equal(t, block[layer.GATES.index(gate)])
+            getattr(layer, name)[...] = -1.0  # writes through to theta
+            assert np.all(named[f"layers.{i}.{name}"] == -1.0), name
     model.theta[...] = saved
 
 
