@@ -2,12 +2,18 @@
 
 Copies the `frictioncast` package of `--src` (this checkout's `src/` by
 default) and of `--against` under two distinct names into a temporary
-directory, imports both, and times one training step per window for each
-variant at H=8, T=7: `network.forward`, `network.backward` and
-`training.adam_step`. The two trees run interleaved, window by window, so
-that host drift, which moves separate runs by up to 2x, hits both alike.
-Each figure is the fastest of `--repeats` windows, in microseconds; the
-ratio is against / src, so above 1 means `--src` is faster.
+directory, imports both, and times each variant at H=8, T=7:
+- one-off calls on one window, as the forecast and the gradient check make
+  them: `network.forward`, `network.backward` and `training.adam_step`, and
+  their sum (`step`);
+- `train`: one fixed short `training.train` call (3 epochs on the 23
+  training windows of a 40-day series, half their entries missing), per
+  training window; it lays out its step once per call.
+The two trees run interleaved, window by window and call by call, so that
+host drift, which moves separate runs by up to 2x, hits both alike. Each
+figure is the fastest of `--repeats` windows (of a tenth as many `train`
+calls), in microseconds; the ratio is against / src, so above 1 means
+`--src` is faster.
 
     python3 scripts/step_bench.py --against OTHER/src [--repeats 300]
 
@@ -36,6 +42,7 @@ VARIANTS = [("gru", 1), ("gru", 2), ("gru-d", 1), ("gru-d", 2), ("lstm", 2),
             ("ffnn", 1)]
 PARTS = ("forward", "backward", "adam", "step")
 HIDDEN, T = 8, 7
+TRAIN_DAYS, TRAIN_EPOCHS = 40, 3
 
 
 def load_package(src: Path, name: str, into: Path):
@@ -64,6 +71,32 @@ def job(pkg, variant: str, depth: int):
         x=x, s=s, m=m, delta=pkg.missingness.compute_intervals(s, m), y=0.4)
     config = pkg.training.TrainConfig(learning_rate=1e-3)
     return model, pkg.training.AdamState.for_model(model), sample, config
+
+
+def train_job(pkg, variant: str, depth: int):
+    """The arguments of one fixed short `training.train` call of `pkg`: a
+    40-day synthetic series cut into windows, half their entries missing,
+    imputed by carrying the last observation forward for the variants
+    other than gru-d. Both trees draw the same values."""
+    ts = pkg.timeseries
+    windows = ts.window(ts.synthesize(ts.SynthConfig(n_days=TRAIN_DAYS), 0), T)
+    windows = [ts.inject_missing(w, 0.5, i) for i, w in enumerate(windows)]
+    spec = pkg.network.ModelSpec(variant, hidden_size=HIDDEN,
+                                 recurrent_depth=depth, window_len=T)
+    config = pkg.training.TrainConfig(learning_rate=1e-3,
+                                      max_epochs=TRAIN_EPOCHS,
+                                      patience=TRAIN_EPOCHS - 1)
+    return (spec, ts.split(windows, 0), None if variant == "gru-d" else "last",
+            config)
+
+
+def one_train(pkg, spec, splits, imputation, config) -> float:
+    """Seconds per training window of one `training.train` call."""
+    model = pkg.network.build_model(spec, pkg.linalg.new_rng(0))
+    t0 = time.perf_counter()
+    _, report = pkg.training.train(model, splits, imputation, config, 0)
+    return ((time.perf_counter() - t0)
+            / (report.epochs_run * len(splits.train)))
 
 
 def one_step(pkg, model, state, sample, config) -> list[float]:
@@ -99,14 +132,18 @@ def main() -> int:
               f"{'ratio':>8}")
         for variant, depth in VARIANTS:
             jobs = {k: job(pkg, variant, depth) for k, pkg in sides.items()}
-            best = {k: [np.inf] * len(PARTS) for k in sides}
+            trains = {k: train_job(pkg, variant, depth)
+                      for k, pkg in sides.items()}
+            best = {k: [np.inf] * (len(PARTS) + 1) for k in sides}
             for rep in range(args.repeats):
                 order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
                 for k in order:
                     took = one_step(sides[k], *jobs[k])
+                    took.append(one_train(sides[k], *trains[k])
+                                if rep % 10 == 0 else np.inf)
                     best[k] = [min(a, b) for a, b in zip(best[k], took)]
             label = variant if depth == 1 else f"{variant}x{depth}"
-            for i, part in enumerate(PARTS):
+            for i, part in enumerate((*PARTS, "train")):
                 a, b = best["against"][i] * 1e6, best["src"][i] * 1e6
                 print(f"{label:<10}{part:<10}{a:>12.1f}{b:>10.1f}"
                       f"{a / b:>8.2f}")

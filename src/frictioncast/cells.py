@@ -1,4 +1,4 @@
-"""Forward/backward kernels for the recurrent cells, over batches of windows.
+"""Forward/backward kernels for the recurrent cells, on plans laid out once.
 
 Implements the plain gated recurrent cell, its decay-mechanism variant for
 missing data, a standard LSTM for the baseline, and a tanh layer for the
@@ -10,29 +10,36 @@ vector in declaration order (`_Params.lay_out`): a gated layer's blocks W,
 U, b (and V) hold one row per gate, and the per-gate names (`w_r`, `u_z`,
 ...) are only the names of those rows, as `model.json` keys them.
 
-The forward runs one layer at a time over B windows [B, T, D]
-(`gru_layer`, `grud_layer`, `lstm_layer`). A layer first does the work that
-does not depend on the hidden state, once per window: the input
-projections W·x and, in the decay cell, the whole decay preamble. Then it
-calls its step kernel (`gru_step`, `grud_step`, `lstm_step`) once per time
-step over all B rows, with the state in column form [B, H, 1], into [T, ·]
-step buffers. Every matrix-vector product is a stacked gemv per gate,
-`W @ X[..., None]`: one BLAS gemv per row, which rounds exactly as the
-one-window `W @ x` does (a gemm over the rows, or one [3H, H] product over
-the gates, would not), so row b of a B-window call equals the one-window
-call bit for bit. A layer returns its outputs [B, T, H] and a cache of
-[B, T, ·] arrays holding the intermediates the backward pass needs.
+Each layer runs on a plan laid out once for B windows [B, T, D] of one
+length (`GruLayer`, `GrudLayer`, `LstmLayer`, `DenseLayer`): its step
+buffers, time major, in column form [T, ·, B, H, 1], and every step's views
+of them, sliced once into per-step tuples that the time loops iterate, so a
+run makes no array, dict or view of its own (numpy's iterator may still
+buffer a broadcast product) and looks up no key. A training job
+lays out one plan per layer for its one-window steps (and one for its
+validation split); a one-off call lays out a fresh one with the same code.
 
-The backward runs one layer at a time too, per window, on one window's
-cache [T, ·], readied once by `backward_cache` (the factors that read only
-the cache, and a gate gradient buffer [T, G, H]). Its time loop keeps only
-the recurrence: the backward steps fill row t of the buffer, in the
-per-step association. From the full buffer, `window_input_grad` forms the
-layer's input gradient by stacked transposed gemvs, the caller the weight
-gradients, each a per-step outer product of a gate gradient and a cached
-operand (`network.backward`), and `grud_decay_backward` the decay path.
-Backward passes are exact reverse-mode, gradient-checked against finite
-differences.
+A layer's forward first does the work that does not depend on the hidden
+state, once per window: the input projections W·x and, in the decay cell,
+the decay preamble, which reads the per-window constants of `grud_inputs`.
+Then it calls its step kernel (`gru_step`, `grud_step`, `lstm_step`) once
+per time step over all B rows. Every matrix-vector product is a stacked
+gemv per gate, `W @ X[..., None]`: one BLAS gemv per row, which rounds
+exactly as the one-window `W @ x` does (a gemm over the rows, or one
+[3H, H] product over the gates, would not), so row b of a B-window plan
+equals the one-window plan bit for bit. A layer's `out` [B, T, H] and
+`cache` are batch-major views of its buffers.
+
+The backward runs on a one-window plan (`lay_out_backward`), one layer at a
+time. It forms the factors that read only the cache once per window, then
+its time loop keeps only the recurrence: the backward step kernels fill row
+t of the gate-gradient buffer `da` [T, G, H] and the state gradients, in
+the per-step association. From the full buffer follow the layer's input
+gradient (one stacked transposed gemv per gate and step), the decay path,
+and the weight gradients: per-step rows, each a broadcast product of a gate
+gradient and a cached operand, added in reverse time order into the
+layer's slice of the gradient vector. Backward passes are exact
+reverse-mode, gradient-checked against finite differences.
 
 The decay rate is exp(-max(0, w·delta + b)), so it lives in (0, 1] and its
 gradient is zero wherever the rectifier is inactive (subgradient 0 at the
@@ -43,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -142,21 +150,18 @@ class DenseParams(_Params):
     b: np.ndarray  # [out]
 
 
-def _decay(w: np.ndarray, b: np.ndarray, delta: np.ndarray):
-    """Pre-activation and rate of the rectified exponential decay over the
-    last axis of `delta`; a 2-D `w` maps each row by a stacked gemv."""
-    pre = (w * delta if w.ndim == 1 else (w @ delta[..., None])[..., 0]) + b
-    return pre, np.exp(-np.maximum(pre, 0.0))
-
-
 def decay_rate(w: np.ndarray, b: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """exp(-max(0, w·delta + b)); diagonal (1-D w) or full (2-D w) map."""
-    return _decay(w, b, delta)[1]
+    pre = (w * delta if w.ndim == 1 else (w @ delta[..., None])[..., 0]) + b
+    return _rate(pre, pre)
 
 
-def _decay_backward(pre, gamma, dgamma):
-    """Gradient at the decay pre-activation; zero where the rectifier is off."""
-    return np.where(pre > 0.0, -gamma * dgamma, 0.0)
+def _rate(pre: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The decay rate exp(-max(0, pre)) at pre-activations `pre`, into
+    `out`."""
+    np.maximum(pre, 0.0, out=out)
+    np.negative(out, out)
+    return np.exp(out, out)
 
 
 def _check(name: str, got, want) -> None:
@@ -164,25 +169,26 @@ def _check(name: str, got, want) -> None:
         raise ShapeError(f"{name}: expected shape {tuple(want)}, got {got.shape}")
 
 
-def _project(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Input projections W·x of windows x [B, T, D] by a gate block w
-    [G, H, D], time-major: [T, G, B, H, 1], one gemv per row and gate."""
-    return w[:, None] @ x.swapaxes(0, 1)[:, None, :, :, None]
-
-
-def _state_steps(s0, x: np.ndarray, h_dim: int) -> np.ndarray:
-    """A layer's states over a window in column form [T + 1, B, H, 1], time
-    major; row 0 is the start state, zero unless given as s0 [B, H]."""
-    states = np.empty((x.shape[1] + 1, x.shape[0], h_dim, 1))
-    if s0 is not None:
-        _check("initial state", s0, (x.shape[0], h_dim))
-    states[0] = 0.0 if s0 is None else s0[..., None]
-    return states
-
-
 def _check_windows(x: np.ndarray, d: int) -> None:
     if x.ndim != 3 or x.shape[2] != d:
         raise ShapeError(f"x: expected windows [B, T, {d}], got {x.shape}")
+
+
+def _columns(x: np.ndarray) -> np.ndarray:
+    """Windows [B, T, D] as time-major columns [T, 1, B, D, 1] (a view): the
+    right operand of a gate block's stacked projection, one gemv per row
+    and gate."""
+    return x.swapaxes(0, 1)[:, None, :, :, None]
+
+
+def _state_steps(s0, b: int, t_len: int, h_dim: int) -> np.ndarray:
+    """A layer's states over B windows in column form [T + 1, B, H, 1], time
+    major; row 0 is the start state, zero unless given as s0 [B, H]."""
+    states = np.empty((t_len + 1, b, h_dim, 1))
+    if s0 is not None:
+        _check("initial state", s0, (b, h_dim))
+    states[0] = 0.0 if s0 is None else s0[..., None]
+    return states
 
 
 def _batch_major(steps: np.ndarray) -> np.ndarray:
@@ -193,291 +199,632 @@ def _batch_major(steps: np.ndarray) -> np.ndarray:
 
 # --- shared gate update -------------------------------------------------------
 
-def _gru_gates(p: GruParams) -> tuple:
-    """The recurrent weights and biases of a gated layer's step kernel, as
-    views of its blocks: (u_rz [2, 1, H, H], b_rz [2, 1, H, 1]) of the r and
-    z gates and (u_c [H, H], b_c [H, 1]) of the candidate."""
-    return p.U[:2, None], p.b[:2, None, :, None], p.U[2], p.b[2, :, None]
-
-
-def _gates(g: tuple, xw, h_prev, out: tuple, vm=None) -> tuple:
+def _gates(g: tuple, xw_rz, xw_c, h_prev, h, rz, r, z, c, vm_rz=None,
+           vm_c=None):
     """Gates, candidate and new state of B rows in column form, from the
-    layer's `_gru_gates` and the step's input projections xw [3, B, H, 1]
-    (r, z, c); `vm` holds the decay cell's V·m term per gate, added before
-    the bias; the plain cell has none. Writes and returns
-    out = (h [B, H, 1], rz [2, B, H, 1], c [B, H, 1])."""
-    u_rz, b_rz, u_c, b_c = g
-    h, rz, c = out
+    layer's recurrent weights and scratch g and the step's input
+    projections xw_rz [2, B, H, 1] (r, z) and xw_c [B, H, 1]; the decay
+    cell's mask terms V·m (vm_rz, vm_c) are added before the bias, the plain
+    cell has none. Writes the state h, the gates rz (r and z are its rows)
+    and the candidate c, all [·, B, H, 1]; returns h."""
+    u_rz, b_rz, u_c, b_c, rh, zc, den = g
     # (U·h + W·x) [+ V·m] + b, in this order: the bias cannot join the
     # hoisted W·x without rounding differently
     np.matmul(u_rz, h_prev, rz)
-    rz += xw[:2]
-    if vm is not None:
-        rz += vm[:2]
+    rz += xw_rz
+    if vm_rz is not None:
+        rz += vm_rz
     rz += b_rz
-    sigmoid(rz, rz)
-    z = rz[1]
-    np.matmul(u_c, rz[0] * h_prev, c)
-    c += xw[2]
-    if vm is not None:
-        c += vm[2]
+    sigmoid(rz, rz, den)
+    np.multiply(r, h_prev, rh)
+    np.matmul(u_c, rh, c)
+    c += xw_c
+    if vm_c is not None:
+        c += vm_c
     c += b_c
     np.tanh(c, c)
     # (1 - z) * h_prev + z * c
     np.subtract(1.0, z, h)
     h *= h_prev
-    h += z * c
-    return out
+    np.multiply(z, c, zc)
+    h += zc
+    return h
 
 
-def _gated_layer(step, g: tuple, x, xw, h0, *per_step) -> tuple:
-    """Run a gated layer's step kernel over the (decayed) windows x
-    [B, T, D] with their projections xw [T, 3, B, H, 1] and any further
-    time-major inputs: (outputs [B, T, H], cache of [B, T, ·] arrays)."""
-    hs = _state_steps(h0, x, xw.shape[3])
-    rzs, cs = np.empty((len(xw), 2, *hs.shape[1:])), np.empty(hs[1:].shape)
-    h = hs[0]
-    for ins, out in zip(zip(xw, *per_step), zip(hs[1:], rzs, cs)):
-        h = step(g, *ins, h, out)[0]
-    h = _batch_major(hs)
-    return h[:, 1:], {"x": x, "h_prev": h[:, :-1], "rz": _batch_major(rzs),
-                      "c": _batch_major(cs)}
-
-
-def _gates_backward(p: GruParams, bw: dict, t: int, h_prev, dh):
-    """Backward of `_gates` at step t of one window's `backward_cache`, at
-    state `h_prev`: fills row t of its gate-gradient buffer and returns
-    (that row [3, H], the state grad)."""
-    da = bw["da"][t]  # rows r, z, c
-    rz, om_rz = bw["rz"][t], bw["om_rz"][t]
-    np.multiply(dh, rz[1], da[2])  # dc
-    da[2] *= bw["om_cc"][t]
-    u = p.U  # rows r, z, c
-    d_rh = u[2].T @ da[2]
-    np.multiply(d_rh, h_prev, da[0])  # dr
-    np.multiply(dh, bw["ch"][t], da[1])  # dz
-    da_rz = da[:2]
+def _gates_backward(g: tuple, s: tuple):
+    """Backward of `_gates` at one step of one window: from the grad d_out
+    [H] at the step's output, fills the step's row da [3, H] (r, z, c) of
+    the gate-gradient buffer and the state grad dh_prev; returns both."""
+    ut_r, ut_z, ut_c, d_rh, tmp = g
+    (d_out, da, da_r, da_z, da_c, da_rz, rz, r, z, om_rz, om_z, om_cc, ch,
+     h_prev, dh_prev) = s
+    np.multiply(d_out, z, da_c)  # dc
+    da_c *= om_cc
+    np.matmul(ut_c, da_c, d_rh)
+    np.multiply(d_rh, h_prev, da_r)  # dr
+    np.multiply(d_out, ch, da_z)  # dz
     da_rz *= rz
     da_rz *= om_rz
-    return da, dh * om_rz[1] + d_rh * rz[0] + u[0].T @ da[0] + u[1].T @ da[1]
+    # d_out * (1 - z) + d_rh * r + U_r^T·da_r + U_z^T·da_z, in this order
+    np.multiply(d_out, om_z, dh_prev)
+    np.multiply(d_rh, r, tmp)
+    dh_prev += tmp
+    np.matmul(ut_r, da_r, tmp)
+    dh_prev += tmp
+    np.matmul(ut_z, da_z, tmp)
+    dh_prev += tmp
+    return da, dh_prev
 
 
-def window_input_grad(p, bw: dict) -> np.ndarray:
-    """A recurrent layer's input grad dx [T, D] over one window from the
-    filled buffer `da` of its `backward_cache` (for the decay cell, the grad
-    at x_hat): one stacked transposed gemv per gate and step, summed as a
-    step would, (c + r) + z for the gated cells, 0.0 + f + i + o + g else."""
-    per_gate = (p.W.swapaxes(1, 2) @ bw["da"][..., None])[..., 0]  # [T, G, D]
-    if isinstance(p, LstmParams):
-        return np.add.reduce(per_gate, axis=1, initial=0.0)
-    return per_gate[:, 2] + per_gate[:, 0] + per_gate[:, 1]
+def _gated_back_steps(d_outs, da, rz, om_rz, om_cc, ch, h_prev,
+                      dh_prev) -> tuple:
+    """Each step's views for `_gates_backward`, in the order it unpacks them,
+    from one window's step grads d_outs, gate-gradient buffer da [T, 3, H],
+    cached gates rz [T, 2, H] and state h_prev [T, H], the factors 1 - rz,
+    1 - c^2 and c - h_prev, and the buffer of the gates' state grad."""
+    return tuple(zip(d_outs, da, da[:, 0], da[:, 1], da[:, 2], da[:, :2], rz,
+                     rz[:, 0], rz[:, 1], om_rz, om_rz[:, 1], om_cc, ch, h_prev,
+                     dh_prev))
 
 
-def backward_cache(kind: str, cache: dict) -> dict:
-    """One window's forward cache [T, ·] of a recurrent layer ("gru",
-    "gru-d" or "lstm"), readied for its backward kernels: the factors that
-    read only the cache, formed once per window, and the buffer `da`
-    [T, G, H] of gate pre-activation gradients the kernels fill (and, for
-    the decay cell, `dh_hat` [T, H] of the grads at its decayed state)."""
-    t_len, h_dim = cache["c"].shape
-    if kind == "lstm":
-        fio, gc, tc = cache["fio"], cache["gc"], cache["tc"]
-        return dict(cache, om_fio=1.0 - fio, om_tc=1.0 - tc * tc,
-                    om_gg=1.0 - gc * gc,
-                    cg=np.stack([cache["c_prev"], gc], axis=1),
-                    da=np.empty((t_len, 4, h_dim)))
-    c = cache["c"]
-    h_prev = cache["h_hat" if kind == "gru-d" else "h_prev"]
-    bw = dict(cache, ch=c - h_prev, om_rz=1.0 - cache["rz"],
-              om_cc=1.0 - c * c, da=np.empty((t_len, 3, h_dim)))
-    if kind == "gru-d":
-        bw["dh_hat"] = np.empty((t_len, h_dim))
-    return bw
+# --- step kernels --------------------------------------------------------------
+
+def gru_step(g: tuple, xw_rz, xw_c, h_prev, h, rz, r, z, c):
+    """One step of B rows of the plain cell: the layer's recurrent weights
+    and scratch g, input projections xw_rz, xw_c and state h_prev
+    [B, H, 1]; writes h, rz, r, z and c in column form, returns h."""
+    return _gates(g, xw_rz, xw_c, h_prev, h, rz, r, z, c)
 
 
-# --- plain gated recurrent cell ---------------------------------------------
-
-def gru_step(g: tuple, xw: np.ndarray, h_prev: np.ndarray, out: tuple):
-    """One step of B rows: the layer's recurrent weights g (`_gru_gates`),
-    input projections xw [3, B, H, 1], state h_prev [B, H, 1]; writes and
-    returns out = (h, rz, c) in column form."""
-    return _gates(g, xw, h_prev, out)
-
-
-def gru_layer(p: GruParams, x: np.ndarray, h0: np.ndarray | None = None):
-    """The plain cell over B windows x [B, T, D] from state h0 [B, H] (zero
-    by default): (outputs [B, T, H], cache)."""
-    _check_windows(x, p.W.shape[2])
-    return _gated_layer(gru_step, _gru_gates(p), x, _project(p.W, x), h0)
+def gru_step_backward(g: tuple, s: tuple):
+    """(gate pre-activation grads [3, H] (r, z, c), dh_prev) at one step of
+    one window of the plain cell: the step's row of the gate-gradient
+    buffer, whose outer products with the step's x, h_prev and r*h_prev
+    are the weight grads, formed once per window by the layer."""
+    return _gates_backward(g, s)
 
 
-def gru_step_backward(p: GruParams, bw: dict, t: int, dh: np.ndarray):
-    """(gate pre-activation grads [3, H] (r, z, c), dh_prev) at step t of
-    one window's `backward_cache`; the grads are row t of its buffer `da`,
-    whose outer products with the step's x, h_prev and r*h_prev are the
-    weight grads, formed once per window by the caller."""
-    return _gates_backward(p, bw, t, bw["h_prev"][t], dh)
+def grud_step(g: tuple, xw_rz, xw_c, vm_rz, vm_c, gamma_h, h_prev, h_hat, h,
+              rz, r, z, c):
+    """One step of B rows of the decay cell: the carried state decayed by
+    gamma_h [B, H, 1] into h_hat, then the shared gate update on the decayed
+    input's projections with the mask terms vm; returns h."""
+    np.multiply(gamma_h, h_prev, h_hat)
+    return _gates(g, xw_rz, xw_c, h_hat, h, rz, r, z, c, vm_rz, vm_c)
 
 
-# --- decay-mechanism cell ----------------------------------------------------
+def grud_step_backward(g: tuple, s: tuple):
+    """(gate pre-activation grads [3, H], dh_prev, dh_hat) at one step of one
+    window of the decay cell: the gate grads act on x_hat, h_hat and the
+    mask m; dh_hat, the grad at the decayed state, fills the step's row of
+    the buffer the decay-path backward reads."""
+    core, gamma_h, dh_prev = s
+    da, dh_hat = _gates_backward(g, core)
+    np.multiply(dh_hat, gamma_h, dh_prev)
+    return da, dh_prev, dh_hat
 
-def grud_step(g: tuple, xw: np.ndarray, vm: np.ndarray, gamma_h: np.ndarray,
-              h_prev: np.ndarray, out: tuple):
-    """One step of B rows: the carried state decayed by gamma_h [B, H, 1],
-    then the shared gate update on the decayed input's projections xw with
-    the mask terms vm (both [3, B, H, 1])."""
-    return _gates(g, xw, gamma_h * h_prev, out, vm)
+
+def _grud_back_steps(cores, gamma_h, dh_prev) -> tuple:
+    """Each step's views for `grud_step_backward`, in the order it unpacks
+    them: the shared gate backward's (`_gated_back_steps`, whose state grad
+    is dh_hat), the hidden decay rate gamma_h [T, H] and the state grads."""
+    return tuple(zip(cores, gamma_h, dh_prev))
 
 
-def grud_layer(p: GrudParams, x: np.ndarray, m: np.ndarray, delta: np.ndarray,
-               h0: np.ndarray | None = None):
-    """The decay cell over B windows of possibly-missing input x, mask m and
-    intervals delta (all [B, T, D]) from state h0 [B, H] (zero by default):
-    (outputs [B, T, H], cache).
+def lstm_step(g: tuple, xw, h_prev, c_prev, h, c, a, fio, f, i, o, gc, tc):
+    """One step of B rows of the LSTM: the layer's recurrent weights and
+    biases (U [4, 1, H, H], b [4, 1, H, 1]) of the gates f, i, o, g and its
+    scratch g, input projections xw [4, B, H, 1], states h_prev and c_prev
+    [B, H, 1]; writes h, c, a [4, B, H, 1] (the gates f, i, o, as `fio`
+    and row by row, and the candidate gc) and tc = tanh(c); returns h."""
+    u, b, ig, den = g
+    np.matmul(u, h_prev, a)
+    a += xw
+    a += b
+    sigmoid(fio, fio, den)
+    np.tanh(gc, gc)
+    np.multiply(f, c_prev, c)
+    np.multiply(i, gc, ig)
+    c += ig
+    np.tanh(c, tc)
+    np.multiply(o, tc, h)
+    return h
 
-    Everything that does not depend on the hidden state runs once per window
-    before the time loop: the most recent observation before each step (the
-    frozen training mean before any), both decay rates, the decayed input
-    x_hat, its projections and the mask terms V·m. Missing entries of `x`
-    may be NaN; they are never read.
-    """
+
+def lstm_step_backward(g: tuple, s: tuple):
+    """(gate pre-activation grads [4, H] (f, i, o, g), dh_prev, dc_prev) at
+    one step of one window of the LSTM: the step's row of the gate-gradient
+    buffer, whose outer products with the step's x and h_prev are the
+    weight grads."""
+    ut, dc, per_gate = g
+    (d_out, dc_in, da, da_col, da_fi, da_o, da_fio, da_g, fio, f, i, o,
+     om_fio, om_tc, om_gg, cg, tc, dh_col, dh_prev, dc_prev) = s
+    np.multiply(d_out, o, dc)  # dc_in + dh * o * (1 - tc^2)
+    dc *= om_tc
+    dc += dc_in
+    np.multiply(dc, cg, da_fi)  # df, di
+    np.multiply(d_out, tc, da_o)  # do
+    da_fio *= fio
+    da_fio *= om_fio
+    np.multiply(dc, i, da_g)  # dgc
+    da_g *= om_gg
+    # 0.0 + f + i + o + g: the start turns an all -0.0 sum into +0.0
+    np.matmul(ut, da_col, per_gate)
+    np.add.reduce(per_gate, axis=0, initial=0.0, out=dh_col)
+    np.multiply(dc, f, dc_prev)
+    return da, dh_prev, dc_prev
+
+
+def _lstm_back_steps(d_outs, dcs, da, fio, om_fio, om_tc, om_gg, cg, tc,
+                     dhs) -> tuple:
+    """Each step's views for `lstm_step_backward`, in the order it unpacks
+    them, from one window's step grads d_outs, cell-state grads dcs and
+    state grads dhs [T + 1, H], gate-gradient buffer da [T, 4, H], cached
+    gates fio [T, 3, H] and tanh(c) tc, the factors 1 - fio, 1 - tc^2 and
+    1 - gc^2, and the stacked [c_prev, gc] cg."""
+    return tuple(zip(d_outs, dcs[1:], da, da[..., None], da[:, :2], da[:, 2],
+                     da[:, :3], da[:, 3], fio, fio[:, 0], fio[:, 1], fio[:, 2],
+                     om_fio, om_tc, om_gg, cg, tc, dhs[:, :, None], dhs, dcs))
+
+
+def dense_step(w, x, a, y, b):
+    """The dense layer over rows x [B, n_in, 1]: y = tanh(w·x + b) into
+    y [B, n_out], whose column view a [B, n_out, 1] takes the product."""
+    np.matmul(w, x, a)
+    y += b
+    return np.tanh(y, y)
+
+
+def dense_step_backward(y, dy, da, da_col, x, g_w, w_t, dx):
+    """Backward of one window's row of the dense layer: writes the weight
+    grads g_w and da, the bias grad dy * (1 - y^2), into the layer's slice
+    of the gradient, and the input grad into dx (None: not wanted);
+    returns dx."""
+    np.multiply(y, y, da)
+    np.subtract(1.0, da, da)
+    da *= dy
+    np.multiply(da_col, x, g_w)  # np.outer's products
+    if dx is not None:
+        np.matmul(w_t, da, dx)
+    return dx
+
+
+# --- layer plans ----------------------------------------------------------------
+
+class _Recurrent:
+    """The backward that the recurrent layer plans share, over one window
+    (B = 1): a time loop of step kernels that fills the gate-gradient
+    buffer `da` [T, G, H], then the per-step weight-gradient rows [T, n],
+    added in reverse time order into the layer's slice of the gradient."""
+
+    def _lay_out_grads(self, grad, above, n_gates: int) -> tuple:
+        """The buffers every recurrent backward has: the layer's slice of the
+        gradient `grad` and its per-step rows, the gate-gradient buffer `da`
+        [T, G, H] and the state grads `dhs` [T + 1, H]. `above` is the grad
+        arriving from above: [H] at the last step's output (the top layer)
+        or [T, H] at every step's (the input grads of the layer above).
+        Returns each step's output grad and the sum that forms it first
+        (None: none)."""
+        t_len, h_dim = self.out.shape[1:]
+        self.grad, self.rows = grad, np.empty((t_len, grad.size))
+        self.rows_rev = self.rows[::-1]
+        self.da = np.empty((t_len, n_gates, h_dim))
+        self.dhs = dhs = np.zeros((t_len + 1, h_dim))
+        if above.ndim == 1:  # step t's output grad is step t + 1's dh_prev
+            return (*dhs[1:t_len], above), (None,) * t_len
+        sums = np.empty((t_len, h_dim))  # ... plus the input grad above
+        return tuple(sums), tuple(zip(dhs[1:], above, sums))
+
+    def _time_loop(self, step) -> None:
+        g = self.g_back
+        for add, s in self.steps_back:
+            if add is not None:
+                np.add(*add)
+            step(g, s)
+
+    def _input_grad(self) -> None:
+        """The layer's input grad dx [T, D] from the filled buffer `da`: one
+        stacked transposed gemv per gate and step, summed as a step would,
+        (c + r) + z for the gated cells, 0.0 + f + i + o + g for the LSTM."""
+        np.matmul(*self.input_products)
+        gate_sum = self.gate_sum
+        if len(gate_sum) == 1:
+            np.add.reduce(gate_sum[0], axis=1, initial=0.0, out=self.dx)
+        else:
+            g2, g0, g1 = gate_sum
+            np.add(g2, g0, self.dx)
+            self.dx += g1
+
+    def _weight_grads(self) -> None:
+        """The per-step weight-gradient rows, each field's a broadcast
+        product of a gate factor and an operand the forward cached, added
+        in reverse time order from 0.0 into the layer's slice of the
+        gradient: the kept axis is wide, so numpy adds them in turn, not
+        pairwise."""
+        for a, b, out in self.row_products:
+            np.multiply(a, b, out)
+        np.copyto(self.bias_rows, self.da)
+        np.add.reduce(self.rows_rev, axis=0, initial=0.0, out=self.grad)
+
+    def _lay_out_input_grad(self, w: np.ndarray, d: int, gated: bool):
+        t_len, n_gates = self.da.shape[:2]
+        per_gate = np.empty((t_len, n_gates, d, 1))
+        self.input_products = (w.swapaxes(1, 2), self.da[..., None], per_gate)
+        per_gate = per_gate[..., 0]
+        self.gate_sum = ((per_gate[:, 2], per_gate[:, 0], per_gate[:, 1])
+                         if gated else (per_gate,))
+        self.dx = np.empty((t_len, d))
+
+
+class GruLayer(_Recurrent):
+    """The plain gated cell laid out once for B windows x [B, T, D] from
+    state h0 [B, H] (zero by default): its step buffers in column form,
+    time major, every step's views of them, the batch-major views `out`
+    [B, T, H] and `cache` (the intermediates the backward reads), and, once
+    `lay_out_backward` ran, the backward's buffers and views."""
+
+    def __init__(self, p: GruParams, x: np.ndarray, h0=None):
+        _check_windows(x, p.W.shape[2])
+        self._lay_out(p, x, h0)
+        self.steps = tuple(zip(self.xw[:, :2], self.xw[:, 2], self.hs,
+                               *self._outs))
+
+    def _lay_out(self, p: GruParams, x: np.ndarray, h0) -> None:
+        b, t_len = x.shape[:2]
+        h_dim = p.W.shape[1]
+        self.p, self.x = p, x
+        self.hs = hs = _state_steps(h0, b, t_len, h_dim)
+        self.xw = xw = np.empty((t_len, 3, b, h_dim, 1))
+        self.project = (p.W[:, None], _columns(x), xw)
+        rzs = np.empty((t_len, 2, b, h_dim, 1))
+        cs = np.empty((t_len, b, h_dim, 1))
+        # the recurrent weights (r, z and c rows), then the scratch of r*h,
+        # z*c and the sigmoid
+        self.g = (p.U[:2, None], p.b[:2, None, :, None], p.U[2],
+                  p.b[2, :, None], np.empty((b, h_dim, 1)),
+                  np.empty((b, h_dim, 1)), np.empty((2, b, h_dim, 1)))
+        # each step's outputs: h, rz, r, z, c
+        self._outs = (hs[1:], rzs, rzs[:, 0], rzs[:, 1], cs)
+        self._rzs, self._cs = rzs, cs
+        self.out = _batch_major(hs)[:, 1:]
+
+    @cached_property
+    def cache(self) -> dict:
+        """The intermediates the backward reads, as batch-major views."""
+        return self._cache_views()
+
+    def _cache_views(self) -> dict:
+        return {"x": self.x, "h_prev": _batch_major(self.hs)[:, :-1],
+                "rz": _batch_major(self._rzs), "c": _batch_major(self._cs)}
+
+    def forward(self) -> None:
+        """Runs the layer over its windows, into `out` and `cache`."""
+        np.matmul(*self.project)
+        step, g = gru_step, self.g
+        for s in self.steps:
+            step(g, *s)
+
+    def lay_out_backward(self, grad: np.ndarray, above: np.ndarray,
+                         input_grad: bool = True) -> None:
+        """Lays out the backward over the layer's one window: `grad` is its
+        slice of the gradient vector, which `backward` fills; `above` the
+        grad arriving from above, [H] at the last step's output or [T, H]
+        at every step's; with `input_grad`, `backward` also fills `dx`
+        [T, D], the grad at the layer's input."""
+        adds, cores = self._lay_out_gated_backward(grad, above, "h_prev")
+        self.steps_back = tuple(zip(adds, cores))[::-1]
+        if input_grad:
+            self._lay_out_input_grad(self.p.W, self.x.shape[2], True)
+        else:
+            self.dx = None
+
+    def _lay_out_gated_backward(self, grad, above, state: str) -> tuple:
+        """The gated backward's buffers and views; `state` names the cache
+        entry the gates act on (the decay cell's is h_hat). Returns each
+        step's output-grad sum (`_lay_out_grads`) and its gate views."""
+        p, t_len, h_dim = self.p, self.out.shape[1], self.out.shape[2]
+        cache = {k: v[0] for k, v in self.cache.items()}  # the window's
+        rz, c, x, h = cache["rz"], cache["c"], cache["x"], cache[state]
+        om_rz, om_cc = np.empty((t_len, 2, h_dim)), np.empty((t_len, h_dim))
+        ch = np.empty((t_len, h_dim))
+        self.factors = (rz, om_rz, c, om_cc, h, ch)
+        ut = p.U.swapaxes(1, 2)
+        self.g_back = (ut[0], ut[1], ut[2], np.empty(h_dim), np.empty(h_dim))
+        d_outs, adds = self._lay_out_grads(grad, above, 3)
+        da = self.da
+        # the gates' state grad: dh_prev, or the decay cell's dh_hat
+        self.dh_hat = np.empty((t_len, h_dim)) if state == "h_hat" else None
+        cores = _gated_back_steps(
+            d_outs, da, rz, om_rz, om_cc, ch, h,
+            self.dhs if self.dh_hat is None else self.dh_hat)
+        w, u, b, *self.decay_rows = p.lay_out(self.rows)
+        rh = np.empty((t_len, h_dim))
+        self.row_products = [
+            (rz[:, 0], h, rh),  # the candidate's U acts on r * h_prev
+            (da[..., None], x[:, None, None], w),
+            (da[:, :2, :, None], h[:, None, None], u[:, :2]),
+            (da[:, 2, :, None], rh[:, None], u[:, 2])]
+        self.bias_rows = b
+        return adds, cores
+
+    def _cache_factors(self) -> None:
+        """The factors that read only the window's cache, formed once per
+        window: 1 - rz, 1 - c^2 and c - h_prev."""
+        rz, om_rz, c, om_cc, h, ch = self.factors
+        np.subtract(1.0, rz, om_rz)
+        np.multiply(c, c, om_cc)
+        np.subtract(1.0, om_cc, om_cc)
+        np.subtract(c, h, ch)
+
+    def backward(self) -> None:
+        """Fills the layer's slice of the gradient (and `dx`) from the grad
+        `above` and the window's cache."""
+        self._cache_factors()
+        self._time_loop(gru_step_backward)
+        if self.dx is not None:
+            self._input_grad()
+        self._weight_grads()
+
+
+GRUD_INPUTS = 6  # m, delta, m * x, x_last, 1 - m, x_last - x_mean
+
+
+def grud_inputs(p: GrudParams, x: np.ndarray, m: np.ndarray,
+                delta: np.ndarray) -> np.ndarray:
+    """The decay cell's input for B windows of possibly-missing input x, mask
+    m and intervals delta (all [B, T, D]), stacked [B, 6, T, D]: m, delta,
+    and what depends only on the window and the frozen training mean:
+    m * x, the most recent observation before each step (x_last; the mean
+    before any), 1 - m and x_last - x_mean. Missing entries of `x` may be
+    NaN; they are never read."""
     if p.x_mean is None:
         raise ShapeError("x_mean is unset on the decay cell parameters")
     _check_windows(x, p.W.shape[2])
     _check("m", m, x.shape)
     _check("delta", delta, x.shape)
-    x_obs = np.where(m > 0.5, x, 0.0)  # sanitize sentinels before arithmetic
-    x_last = last_observed(x, m, p.x_mean)
-    pre_x, gamma_x = _decay(p.w_decay_x, p.b_decay_x, delta)
-    pre_h, gamma_h = _decay(p.w_decay_h, p.b_decay_h, delta)
-    x_hat = m * x_obs + (1.0 - m) * (gamma_x * x_last + (1.0 - gamma_x) * p.x_mean)
-
-    xw, vm = _project(p.W, x_hat), _project(p.V, m)
-    gamma_col = gamma_h.swapaxes(0, 1)[..., None]  # [T, B, H, 1]
-    out, cache = _gated_layer(grud_step, _gru_gates(p), x_hat, xw, h0, vm,
-                              gamma_col)
-    cache.update(x_hat=x_hat, h_hat=gamma_h * cache["h_prev"], m=m,
-                 delta=delta, x_last=x_last, pre_x=pre_x, gamma_x=gamma_x,
-                 pre_h=pre_h, gamma_h=gamma_h)
-    return out, cache
-
-
-def grud_step_backward(p: GrudParams, bw: dict, t: int, dh: np.ndarray):
-    """(gate pre-activation grads [3, H], dh_prev, dh_hat) at step t of one
-    window's `backward_cache`: the gate grads act on x_hat, h_hat and the
-    mask m; `dh_hat`, the grad at the decayed state, lands in row t of the
-    buffer of the same name, which `grud_decay_backward` reads."""
-    da, dh_hat = _gates_backward(p, bw, t, bw["h_hat"][t], dh)
-    bw["dh_hat"][t] = dh_hat
-    return da, dh_hat * bw["gamma_h"][t], dh_hat
-
-
-def grud_decay_backward(p: GrudParams, bw: dict):
-    """Grads at the decay pre-activations over one window of decay-cell
-    steps: (da_x [T, D], da_h [T, H]) from its `backward_cache` once the
-    step kernels filled `da` and `dh_hat`; zero where the rectifier is
-    off."""
-    # hidden decay path: h_hat = gamma_h * h_prev
-    da_h = _decay_backward(bw["pre_h"], bw["gamma_h"],
-                           bw["dh_hat"] * bw["h_prev"])
-    # input decay path: x_hat mixes x_last and the frozen mean on missing slots
-    dgamma_x = (window_input_grad(p, bw) * (1.0 - bw["m"])
-                * (bw["x_last"] - p.x_mean))
-    da_x = _decay_backward(bw["pre_x"], bw["gamma_x"], dgamma_x)
-    return da_x, da_h
-
-
-# --- LSTM baseline -----------------------------------------------------------
-
-def lstm_step(g: tuple, xw: np.ndarray, h_prev: np.ndarray,
-              c_prev: np.ndarray, out: tuple):
-    """One step of B rows: the layer's recurrent weights and biases
-    g = (U [4, 1, H, H], b [4, 1, H, 1]) of the gates f, i, o, g, input
-    projections xw [4, B, H, 1], states h_prev and c_prev [B, H, 1]; writes
-    and returns out = (h, c, a [4, B, H, 1], tanh(c)), where a holds the
-    gates f, i, o and the candidate gc."""
-    u, b = g
-    h, c, a, tc = out
-    np.matmul(u, h_prev, a)
-    a += xw
-    a += b
-    fio = a[:3]
-    sigmoid(fio, fio)
-    gc = np.tanh(a[3], a[3])
-    np.multiply(fio[0], c_prev, c)
-    c += fio[1] * gc
-    np.tanh(c, tc)
-    np.multiply(fio[2], tc, h)
+    out = np.empty((len(x), GRUD_INPUTS, *x.shape[1:]))
+    m_in, delta_in, m_x, x_last, om_m, x_dev = out.swapaxes(0, 1)
+    m_in[...] = m
+    delta_in[...] = delta
+    # sanitize sentinels before arithmetic
+    np.multiply(m, np.where(m > 0.5, x, 0.0), m_x)
+    x_last[...] = last_observed(x, m, p.x_mean)
+    np.subtract(1.0, m, om_m)
+    np.subtract(x_last, p.x_mean, x_dev)
     return out
 
 
-def lstm_layer(p: LstmParams, x: np.ndarray, h0: np.ndarray | None = None,
-               c0: np.ndarray | None = None):
-    """The LSTM over B windows x [B, T, D] from states h0 and c0 [B, H] (zero
-    by default): (outputs [B, T, H], cache)."""
-    _check_windows(x, p.W.shape[2])
-    g = (p.U[:, None], p.b[:, None, :, None])
-    xw = _project(p.W, x)
-    h_dim = p.W.shape[1]
-    hs, cs = _state_steps(h0, x, h_dim), _state_steps(c0, x, h_dim)
-    a_s = np.empty((x.shape[1], 4, *hs.shape[1:]))
-    tcs = np.empty(hs[1:].shape)
-    h, c = hs[0], cs[0]
-    for xw_t, out in zip(xw, zip(hs[1:], cs[1:], a_s, tcs)):
-        h, c = lstm_step(g, xw_t, h, c, out)[:2]
-    h, c, a = _batch_major(hs), _batch_major(cs), _batch_major(a_s)
-    cache = {"x": x, "h_prev": h[:, :-1], "c_prev": c[:, :-1], "c": c[:, 1:],
-             "fio": a[:, :, :3], "gc": a[:, :, 3], "tc": _batch_major(tcs)}
-    return h[:, 1:], cache
+class GrudLayer(GruLayer):
+    """The decay cell laid out once for B windows of `grud_inputs` [B, 6, T,
+    D] from state h0 [B, H] (zero by default).
+
+    Everything that does not depend on the hidden state runs once per
+    window before the time loop: both decay rates, the decayed input x_hat
+    (the last observation decayed toward the frozen training mean on
+    missing entries), its projections and the mask terms V·m."""
+
+    def __init__(self, p: GrudParams, inputs: np.ndarray, h0=None):
+        if (inputs.ndim != 4 or inputs.shape[1] != GRUD_INPUTS
+                or inputs.shape[3] != p.W.shape[2]):
+            raise ShapeError(f"decay cell inputs: expected [B, {GRUD_INPUTS}, "
+                             f"T, {p.W.shape[2]}], got {inputs.shape}")
+        m, delta, m_x, x_last, om_m, x_dev = inputs.swapaxes(0, 1)
+        b, t_len, _ = m.shape
+        h_dim = p.W.shape[1]
+        x_hat = np.empty(m.shape)
+        self._lay_out(p, x_hat, h0)
+        xw, hs = self.xw, self.hs
+        vm = np.empty(xw.shape)
+        pre_x, gamma_x, work = np.empty((3, *m.shape))
+        pre_h_col = np.empty((b, t_len, h_dim, 1))
+        pre_h, gamma_h = pre_h_col[..., 0], np.empty((b, t_len, h_dim))
+        h_hats = np.empty(hs[1:].shape)
+        self.preamble = (
+            (p.w_decay_x, delta, pre_x, p.b_decay_x, gamma_x),
+            (p.w_decay_h, delta[..., None], pre_h_col, pre_h, p.b_decay_h,
+             gamma_h),
+            (x_last, work, p.x_mean, om_m, m_x, x_hat),
+            (p.V[:, None], _columns(m), vm))
+        gamma_col = gamma_h.swapaxes(0, 1)[..., None]  # [T, B, H, 1]
+        self.steps = tuple(zip(xw[:, :2], xw[:, 2], vm[:, :2], vm[:, 2],
+                               gamma_col, hs, h_hats, *self._outs))
+        self.inputs = (m, delta, om_m, x_dev)
+        self._decay_views = dict(x_hat=x_hat, h_hat=h_hats, m=m, delta=delta,
+                                 x_last=x_last, pre_x=pre_x, gamma_x=gamma_x,
+                                 pre_h=pre_h, gamma_h=gamma_h)
+
+    def _cache_views(self) -> dict:
+        decay = self._decay_views
+        return (super()._cache_views() | decay
+                | {"h_hat": _batch_major(decay["h_hat"])})
+
+    def forward(self) -> None:
+        """Runs the layer over its windows, into `out` and `cache`."""
+        decay_x, decay_h, mix, mask = self.preamble
+        w, delta, pre, b, gamma = decay_x
+        np.multiply(w, delta, pre)
+        pre += b
+        _rate(pre, gamma)
+        w, delta, pre_col, pre, b, gamma_h = decay_h
+        np.matmul(w, delta, pre_col)
+        pre += b
+        _rate(pre, gamma_h)
+        # m * x + (1 - m) * (gamma_x * x_last + (1 - gamma_x) * x_mean)
+        x_last, work, x_mean, om_m, m_x, out = mix
+        np.multiply(gamma, x_last, out)
+        np.subtract(1.0, gamma, work)
+        work *= x_mean
+        out += work
+        out *= om_m
+        out += m_x
+        np.matmul(*self.project)
+        np.matmul(*mask)
+        step, g = grud_step, self.g
+        for s in self.steps:
+            step(g, *s)
+
+    def lay_out_backward(self, grad: np.ndarray, above: np.ndarray,
+                         input_grad: bool = True) -> None:
+        """As `GruLayer.lay_out_backward`; the grad at x_hat, `dx`, is always
+        formed, because the input decay's backward reads it."""
+        adds, cores = self._lay_out_gated_backward(grad, above, "h_hat")
+        self._lay_out_input_grad(self.p.W, self.x.shape[2], True)
+        cores = _grud_back_steps(cores, self.cache["gamma_h"][0], self.dhs)
+        self.steps_back = tuple(zip(adds, cores))[::-1]
+        m, delta, om_m, x_dev = (v[0] for v in self.inputs)
+        c = {k: v[0] for k, v in self.cache.items()}
+        v, w_dx, b_dx, w_dh, b_dh = self.decay_rows
+        t_len, h_dim = self.dh_hat.shape
+        self.row_products += [(self.da[..., None], m[:, None, None], v),
+                              (b_dx, delta, w_dx),
+                              (b_dh[..., None], delta[:, None], w_dh)]
+        self.decay = (
+            (self.dh_hat, c["h_prev"], np.empty((t_len, h_dim)), c["gamma_h"],
+             np.empty((t_len, h_dim)), c["pre_h"],
+             np.empty((t_len, h_dim), bool), b_dh),
+            (self.dx, om_m, x_dev, np.empty(m.shape), c["gamma_x"],
+             np.empty(m.shape), c["pre_x"], np.empty(m.shape, bool), b_dx))
+
+    def backward(self) -> None:
+        """Fills the layer's slice of the gradient and `dx` from the grad
+        `above` and the window's cache; the decay tensors' grads are zero
+        where the rectifier is off."""
+        self._cache_factors()
+        self._time_loop(grud_step_backward)
+        self._input_grad()
+        hidden, inp = self.decay
+        # hidden decay path, h_hat = gamma_h * h_prev:
+        # where(pre_h > 0, -gamma_h * (dh_hat * h_prev), 0)
+        dh_hat, h_prev, dgamma, gamma, da, pre, on, out = hidden
+        np.multiply(dh_hat, h_prev, dgamma)
+        _decay_backward(pre, gamma, dgamma, da, on, out)
+        # input decay path: x_hat mixes x_last and the frozen mean on
+        # missing slots, so dgamma_x = dx_hat * (1 - m) * (x_last - x_mean)
+        dx, om_m, x_dev, dgamma, gamma, da, pre, on, out = inp
+        np.multiply(dx, om_m, dgamma)
+        dgamma *= x_dev
+        _decay_backward(pre, gamma, dgamma, da, on, out)
+        self._weight_grads()
 
 
-def lstm_step_backward(p: LstmParams, bw: dict, t: int, dh: np.ndarray,
-                       dc_in: np.ndarray):
-    """(gate pre-activation grads [4, H] (f, i, o, g), dh_prev, dc_prev) at
-    step t of one window's `backward_cache`; the grads are row t of its
-    buffer `da`, whose outer products with the step's x and h_prev are the
-    weight grads."""
-    da = bw["da"][t]
-    fio = bw["fio"][t]
-    dc = dh * fio[2]  # dc_in + dh * o * (1 - tc^2)
-    dc *= bw["om_tc"][t]
-    dc += dc_in
-    np.multiply(dc, bw["cg"][t], da[:2])  # df, di
-    np.multiply(dh, bw["tc"][t], da[2])  # do
-    da_fio = da[:3]
-    da_fio *= fio
-    da_fio *= bw["om_fio"][t]
-    np.multiply(dc, fio[1], da[3])  # dgc
-    da[3] *= bw["om_gg"][t]
-    # 0.0 + f + i + o + g: the start turns an all -0.0 sum into +0.0
-    dh_prev = np.add.reduce(p.U.swapaxes(1, 2) @ da[..., None], axis=0,
-                            initial=0.0)[:, 0]
-    return da, dh_prev, dc * fio[0]
+def _decay_backward(pre, gamma, dgamma, work, on, out) -> None:
+    """The grad at the decay pre-activation, -gamma * dgamma where the
+    rectifier is on (pre > 0) and 0.0 where it is off, into `out`."""
+    np.negative(gamma, work)
+    work *= dgamma
+    np.greater(pre, 0.0, on)
+    out.fill(0.0)
+    np.copyto(out, work, where=on)
 
 
-# --- dense layer (feed-forward baseline) -------------------------------------
+class LstmLayer(_Recurrent):
+    """The LSTM laid out once for B windows x [B, T, D] from states h0 and
+    c0 [B, H] (zero by default), as `GruLayer` is."""
 
-def dense_step(p: DenseParams, x: np.ndarray):
-    """The layer over rows x [..., n_in]: (y [..., n_out], cache)."""
-    if p.w.shape[1] != x.shape[-1]:
-        raise ShapeError(f"dense: weights {p.w.shape} vs input {x.shape}")
-    a = (p.w @ x[..., None])[..., 0] + p.b
-    y = np.tanh(a)
-    return y, {"x": x, "y": y}
+    def __init__(self, p: LstmParams, x: np.ndarray, h0=None, c0=None):
+        _check_windows(x, p.W.shape[2])
+        b, t_len = x.shape[:2]
+        h_dim = p.W.shape[1]
+        self.p, self.x = p, x
+        hs = _state_steps(h0, b, t_len, h_dim)
+        cs = _state_steps(c0, b, t_len, h_dim)
+        xw = np.empty((t_len, 4, b, h_dim, 1))
+        self.project = (p.W[:, None], _columns(x), xw)
+        a_s, tcs = np.empty(xw.shape), np.empty(hs[1:].shape)
+        # the recurrent weights, then the scratch of i*gc and the sigmoid
+        self.g = (p.U[:, None], p.b[:, None, :, None], np.empty((b, h_dim, 1)),
+                  np.empty((3, b, h_dim, 1)))
+        self.steps = tuple(zip(xw, hs, cs, hs[1:], cs[1:], a_s, a_s[:, :3],
+                               a_s[:, 0], a_s[:, 1], a_s[:, 2], a_s[:, 3],
+                               tcs))
+        self._steps = (hs, cs, a_s, tcs)
+        self.out = _batch_major(hs)[:, 1:]
+
+    @cached_property
+    def cache(self) -> dict:
+        """The intermediates the backward reads, as batch-major views."""
+        h, c, a, tc = map(_batch_major, self._steps)
+        return {"x": self.x, "h_prev": h[:, :-1], "c_prev": c[:, :-1],
+                "c": c[:, 1:], "fio": a[:, :, :3], "gc": a[:, :, 3], "tc": tc}
+
+    def forward(self) -> None:
+        """Runs the layer over its windows, into `out` and `cache`."""
+        np.matmul(*self.project)
+        step, g = lstm_step, self.g
+        for s in self.steps:
+            step(g, *s)
+
+    def lay_out_backward(self, grad: np.ndarray, above: np.ndarray,
+                         input_grad: bool = True) -> None:
+        """As `GruLayer.lay_out_backward`."""
+        p, t_len, h_dim = self.p, self.out.shape[1], self.out.shape[2]
+        c = {k: v[0] for k, v in self.cache.items()}
+        fio, gc, tc = c["fio"], c["gc"], c["tc"]
+        om_fio = np.empty(fio.shape)
+        om_tc, om_gg = np.empty((2, t_len, h_dim))
+        cg = np.empty((t_len, 2, h_dim))
+        self.factors = (fio, om_fio, tc, om_tc, gc, om_gg, c["c_prev"], cg)
+        self.dcs = dcs = np.zeros((t_len + 1, h_dim))
+        self.g_back = (p.U.swapaxes(1, 2), np.empty(h_dim),
+                       np.empty((4, h_dim, 1)))
+        d_outs, adds = self._lay_out_grads(grad, above, 4)
+        cores = _lstm_back_steps(d_outs, dcs, self.da, fio, om_fio, om_tc,
+                                 om_gg, cg, tc, self.dhs)
+        self.steps_back = tuple(zip(adds, cores))[::-1]
+        if input_grad:
+            self._lay_out_input_grad(p.W, self.x.shape[2], False)
+        else:
+            self.dx = None
+        da, x, h = self.da, c["x"], c["h_prev"]
+        w, u, self.bias_rows = p.lay_out(self.rows)
+        self.row_products = [(da[..., None], x[:, None, None], w),
+                             (da[..., None], h[:, None, None], u)]
+
+    def backward(self) -> None:
+        """Fills the layer's slice of the gradient (and `dx`) from the grad
+        `above` and the window's cache."""
+        fio, om_fio, tc, om_tc, gc, om_gg, c_prev, cg = self.factors
+        np.subtract(1.0, fio, om_fio)
+        np.multiply(tc, tc, om_tc)
+        np.subtract(1.0, om_tc, om_tc)
+        np.multiply(gc, gc, om_gg)
+        np.subtract(1.0, om_gg, om_gg)
+        cg[:, 0] = c_prev
+        cg[:, 1] = gc
+        self._time_loop(lstm_step_backward)
+        if self.dx is not None:
+            self._input_grad()
+        self._weight_grads()
 
 
-def dense_step_backward(p: DenseParams, cache: dict, dy: np.ndarray,
-                        grad: np.ndarray, input_grad: bool = True):
-    """Writes the weight grads of one window's row of the layer into `grad`,
-    a vector in its layout; returns the input grad (None unless
-    `input_grad`)."""
-    x, y = cache["x"], cache["y"]
-    g_w, da = p.lay_out(grad)  # the bias grad is da = dy * (1 - y^2)
-    np.multiply(y, y, out=da)
-    np.subtract(1.0, da, out=da)
-    da *= dy
-    np.multiply(da[:, None], x, out=g_w)  # np.outer's products
-    return p.w.T @ da if input_grad else None
+class DenseLayer:
+    """The tanh layer of the feed-forward baseline laid out once for rows x
+    [B, n_in]: `out` y [B, n_out] and `cache`."""
+
+    def __init__(self, p: DenseParams, x: np.ndarray):
+        if x.ndim != 2 or p.w.shape[1] != x.shape[1]:
+            raise ShapeError(f"dense: weights {p.w.shape} vs input {x.shape}")
+        self.p, self.x = p, x
+        self.out = y = np.empty((len(x), p.w.shape[0]))
+        self.cache = {"x": x, "y": y}
+        self.fwd = (p.w, x[..., None], y[..., None], y, p.b)
+
+    def forward(self) -> None:
+        """Runs the layer over its rows, into `out`."""
+        dense_step(*self.fwd)
+
+    def lay_out_backward(self, grad: np.ndarray, above: np.ndarray,
+                         input_grad: bool = True) -> None:
+        """Lays out the backward over the layer's one row: `grad` is its
+        slice of the gradient vector, `above` the grad [n_out] at its
+        output; with `input_grad`, `backward` also fills `dx` [n_in]."""
+        g_w, da = self.p.lay_out(grad)  # the bias grad is da
+        self.dx = np.empty(self.x.shape[1]) if input_grad else None
+        self.bwd = (self.out[0], above, da, da[:, None], self.x[0], g_w,
+                    self.p.w.T, self.dx)
+
+    def backward(self) -> None:
+        dense_step_backward(*self.bwd)
 
 
 # --- initialization -----------------------------------------------------------

@@ -72,6 +72,14 @@ class ExperimentConfig:
                                          for r in self.missing_rates):
             raise ConfigError("missing_rates must hold one or more rates "
                               "in [0, 1)")
+        # a repeated entry would run the same jobs again, counted as seeds
+        for i, entry in enumerate(self.models):
+            if entry in self.models[:i]:
+                raise ConfigError(f"models[{i}] repeats "
+                                  f"models[{self.models.index(entry)}]")
+        for i, rate in enumerate(self.missing_rates):
+            if rate in self.missing_rates[:i]:
+                raise ConfigError(f"missing_rates[{i}] repeats {rate}")
         if self.n_seeds < 1:
             raise ConfigError("n_seeds must be >= 1")
         if self.seed < 0:
@@ -295,10 +303,10 @@ def run_single(config: ExperimentConfig, entry: ModelEntry, rate: float,
             samples, _seed_for(master, _TAG_SPLIT, seed, seg_idx))
         if rate > 0.0:
             def mask(split_samples, which):
-                return [timeseries.inject_missing(
-                            s, rate,
-                            _seed_for(master, _TAG_MASK, seed, seg_idx, which, i))
-                        for i, s in enumerate(split_samples)]
+                return timeseries.mask_windows(
+                    split_samples, rate,
+                    [_seed_for(master, _TAG_MASK, seed, seg_idx, which, i)
+                     for i in range(len(split_samples))])
             splits = timeseries.DatasetSplit(
                 train=mask(splits.train, 0),
                 validation=mask(splits.validation, 1),

@@ -44,7 +44,7 @@ def observed_intervals(s: np.ndarray, d: int) -> np.ndarray:
     s [..., T] (any leading batch axes): each step's gap since the step
     before, 0 at the first step. This is `compute_intervals` on a mask of
     ones, without its carry."""
-    gaps = np.diff(s, axis=-1)
+    gaps = s[..., 1:] - s[..., :-1]
     if np.any(gaps <= 0):
         raise DataError("timestamps must be strictly increasing")
     delta = np.zeros((*s.shape, d), dtype=np.float64)
@@ -53,20 +53,24 @@ def observed_intervals(s: np.ndarray, d: int) -> np.ndarray:
 
 
 def compute_intervals(s: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Elapsed time since the last observation, per step and variable.
+    """Elapsed time since the last observation, per step and variable, of
+    windows with timestamps s [..., T] and mask m [..., T, D] (any leading
+    batch axes, one recurrence over all windows).
 
     delta[0] = 0; for t > 0 the gap s[t] - s[t-1] is extended by delta[t-1]
     whenever step t-1 was itself missing.
     """
     s = np.asarray(s, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
-    if s.ndim != 1 or m.ndim != 2 or m.shape[0] != s.shape[0]:
+    if s.ndim < 1 or m.shape[:-1] != s.shape:
         raise DataError(f"timestamps {s.shape} do not match mask {m.shape}")
-    delta = observed_intervals(s, m.shape[1])
+    delta = observed_intervals(s, m.shape[-1])
     # only a step that follows a missing entry carries an interval over;
     # elsewhere the gap stands alone (gap + 0.0 == gap for a gap > 0)
-    for t in np.flatnonzero(np.any(m[:-1] == 0.0, axis=1)) + 1:
-        delta[t] += np.where(m[t - 1] == 0.0, delta[t - 1], 0.0)
+    gone = (m == 0.0).reshape(-1, *m.shape[-2:]).swapaxes(0, 1)  # [T, N, D]
+    steps = delta.reshape(-1, *m.shape[-2:]).swapaxes(0, 1)
+    for t in np.flatnonzero(gone[:-1].any(axis=(1, 2))) + 1:
+        steps[t] += np.where(gone[t - 1], steps[t - 1], 0.0)
     return delta
 
 

@@ -8,15 +8,23 @@ block rows per gate (`layers.0.w_r`, ...). The decay variant consumes the
 raw mask/interval channels of a sample; every other variant requires fully
 observed (or pre-imputed) input.
 
-The forward pass runs layer by layer over a batch of same-length windows
-(`cells` holds the layers). `predict` scores B windows in one call; its entry
-b equals `forward` on window b alone bit for bit, because every product in
-the pass rounds per row. `forward` runs one window and keeps its trace, each
-layer's cache of [T, ·] arrays, for `backward`, which returns the loss
-gradient in the parameter vector's layout, layer by layer too: a time loop
-of step kernels fills the layer's gate-gradient buffer, then stacked
+The forward and the backward run on a `Plan`: each layer's plan (`cells`)
+laid out once for B same-length windows of the first layer's input
+(`stack_inputs`, which stacks and checks a split once) and the head's;
+the first `backward` on a one-window plan lays out its backward, down to
+the gradient vector. `Plan.run(rows)` copies rows of `stack_inputs` in and
+runs the forward. A training job lays out its plans once and runs them
+(`training.train`); the one-off calls `forward(model, sample)` and
+`predict(model, samples)` lay out a fresh forward-only plan for that call,
+with the same code. `predict` scores B windows in one pass; its entry b
+equals `forward` on window b alone bit for bit, because every product in
+the pass rounds per row. `forward` runs one window and returns its plan as
+the trace, holding each layer's cache, for `backward`, which returns the
+loss gradient in the parameter vector's layout, layer by layer too: a time
+loop of step kernels fills the layer's gate-gradient buffer, then stacked
 products over the window give its weight and input gradients.
-`gradient_check` compares it against central finite differences.
+`gradient_check` compares it against central finite differences, all its
+forwards on one plan.
 """
 
 from __future__ import annotations
@@ -156,157 +164,150 @@ def stack_windows(samples: list[TimeSeriesSample],
                          ) from exc
 
 
-def _run(model: Model, x: np.ndarray, m: np.ndarray, delta: np.ndarray):
-    """The forward pass over B same-length windows (inputs, mask and
-    intervals, each [B, T, D]), layer by layer: (predictions [B], each
-    layer's cache of [B, ·] arrays, h_final [B, H])."""
+def stack_inputs(model: Model, samples: list[TimeSeriesSample]) -> np.ndarray:
+    """The input of the model's first layer for same-length windows, stacked
+    and checked once: the windows x [B, T, D] for gru and lstm, the decay
+    cell's inputs [B, 6, T, D] (`cells.grud_inputs`) for gru-d and the
+    flattened windows [B, T * D] for ffnn; only the decay cell may read a
+    missing (NaN) value."""
     spec = model.spec
+    x, = stack_windows(samples, "x")
     if x.ndim != 3 or x.shape[2] != spec.input_dim:
         raise ShapeError(
             f"sample has {x.shape[-1]} variables, model expects {spec.input_dim}"
         )
-    if spec.variant != "gru-d" and np.isnan(x).any():
+    if spec.variant == "gru-d":
+        return cells.grud_inputs(model.layers[0], x,
+                                 *stack_windows(samples, "m", "delta"))
+    if np.isnan(x).any():
         raise UnimputedValueError(
             f"unimputed missing value reaching a {spec.variant} model"
         )
-
-    caches = []
     if spec.variant == "ffnn":
-        v = x.reshape(len(x), -1)
-        if v.shape[1] != model.layers[0].w.shape[1]:
+        x = x.reshape(len(x), -1)
+        if x.shape[1] != model.layers[0].w.shape[1]:
             raise ShapeError(
-                f"window length {x.shape[1]} does not match the configured "
-                f"feed-forward input size"
+                f"window length {len(samples[0].x)} does not match the "
+                f"configured feed-forward input size"
             )
-        for layer in model.layers:
-            v, cache = cells.dense_step(layer, v)
-            caches.append(cache)
-        h_final = v
-    else:
-        v = x
+    return x
+
+
+LAYERS = {"gru": cells.GruLayer, "gru-d": cells.GrudLayer,
+          "lstm": cells.LstmLayer, "dense": cells.DenseLayer}
+
+
+class Plan:
+    """A model's forward pass laid out once for B same-length windows: the
+    buffer `inputs` of the first layer's input (`stack_inputs`), each
+    layer's plan (`cells`) and the head's; for B = 1, the first `backward`
+    adds the backward's buffers and the gradient vector. Running it makes
+    no array, dict or view; it computes into the same buffers every time,
+    so it holds the caches of the windows it ran last, as a trace for
+    `backward`."""
+
+    def __init__(self, model: Model, inputs: np.ndarray):
+        self.inputs = inputs
+        self.layers = []
+        v = inputs
         for li, layer in enumerate(model.layers):
-            kind = _layer_kind(spec, li)
-            if kind == "gru-d":
-                v, cache = cells.grud_layer(layer, x, m, delta)
-            elif kind == "gru":
-                v, cache = cells.gru_layer(layer, v)
-            else:  # lstm
-                v, cache = cells.lstm_layer(layer, v)
-            caches.append(cache)
-        h_final = v[:, -1]
-    y_hat = (model.head_w @ h_final[..., None])[..., 0] + model.head_b[0]
-    return y_hat, caches, h_final
+            self.layers.append(LAYERS[_layer_kind(model.spec, li)](layer, v))
+            v = self.layers[-1].out
+        self.h_final = v if model.spec.variant == "ffnn" else v[:, -1]
+        self.y_hat = np.empty(len(inputs))
+        self.head = (model.head_w, self.h_final[..., None], self.y_hat[:, None],
+                     model.head_b)
+        self.grad = None
+
+    @property
+    def caches(self) -> list[dict]:
+        """Each layer's cache of [B, T, ·] arrays."""
+        return [layer.cache for layer in self.layers]
+
+    def lay_out_backward(self, model: Model) -> None:
+        """The backward's buffers, layer by layer from the top: each layer's
+        input gradient is the grad arriving at the outputs of the layer
+        below, and its weight gradients fill its slice of `grad`."""
+        if len(self.inputs) != 1:
+            raise ShapeError(f"the backward runs on one window, the plan "
+                             f"holds {len(self.inputs)}")
+        self.grad = np.zeros_like(model.theta)
+        head = model._layer_spans[-1][1]
+        dh_final = np.empty(model.spec.hidden_size)
+        above = dh_final
+        for li in range(len(self.layers) - 1, -1, -1):
+            # the bottom layer's input gradient feeds nothing
+            start, stop = model._layer_spans[li]
+            self.layers[li].lay_out_backward(self.grad[start:stop], above,
+                                             input_grad=li > 0)
+            above = self.layers[li].dx
+        self.down = self.layers[::-1]
+        self.head_grad = (self.h_final[0], self.grad[head:-1],
+                          self.grad[-1:], model.head_w, dh_final)
+
+    def run(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """The forward over the windows in `inputs`, after copying `rows` of
+        `stack_inputs` (same shape) into it when given: predictions [B]
+        (the plan's buffer)."""
+        if rows is not None:
+            np.copyto(self.inputs, rows)
+        for layer in self.layers:
+            layer.forward()
+        w, h, y_hat, b = self.head
+        np.matmul(w, h, y_hat)
+        y_hat += b
+        return self.y_hat
 
 
 def forward(model: Model, sample: TimeSeriesSample):
-    """Unroll the model over one window; returns (prediction, trace), the
-    trace holding each layer's cache for `backward` ([T, ·] arrays)."""
-    y_hat, caches, h_final = _run(model, sample.x[None], sample.m[None],
-                                  sample.delta[None])
-    trace = {"caches": [{k: v[0] for k, v in cache.items()}
-                        for cache in caches],
-             "h_final": h_final[0], "y_hat": float(y_hat[0])}
-    return trace["y_hat"], trace
+    """Unroll the model over one window on a fresh plan; returns (prediction,
+    trace), the trace being that plan, which holds each layer's cache for
+    `backward` and stays as it is."""
+    plan = Plan(model, stack_inputs(model, [sample]))
+    return float(plan.run()[0]), plan
 
 
 def predict(model: Model, samples: list[TimeSeriesSample]) -> np.ndarray:
-    """Predictions [B] of B same-length windows in one forward pass; entry b
-    equals `forward(model, samples[b])[0]` bit for bit."""
-    return _run(model, *stack_windows(samples, "x", "m", "delta"))[0]
+    """Predictions [B] of B same-length windows in one forward pass on a
+    fresh plan; entry b equals `forward(model, samples[b])[0]` bit for bit,
+    because every product rounds per row."""
+    return Plan(model, stack_inputs(model, samples)).run()
 
 
 def loss_mse(y_hat: float, y: float) -> float:
     return (y_hat - y) ** 2
 
 
-def _weight_rows(kind: str, layer, bw: dict, n: int) -> np.ndarray:
-    """Per-step weight-gradient rows [T, n] of one recurrent layer in its
-    layout (`cells._Params.lay_out`), from one window's `backward_cache`
-    once the step kernels have filled its gate-gradient buffer [T, G, H]:
-    one broadcast product per field, each row of it a per-step outer
-    product of a gate factor and an operand the forward cached."""
-    da = bw["da"]
-    x, h = bw["x"], bw["h_hat" if kind == "gru-d" else "h_prev"]  # x: x_hat
-    rows = np.empty((len(da), n))
-    w, u, b, *decay = layer.lay_out(rows)
-    np.multiply(da[..., None], x[:, None, None], out=w)
-    if kind == "lstm":
-        np.multiply(da[..., None], h[:, None, None], out=u)
-    else:  # the candidate's U acts on r * h_prev
-        np.multiply(da[:, :2, :, None], h[:, None, None], out=u[:, :2])
-        np.multiply(da[:, 2, :, None], (bw["rz"][:, 0] * h)[:, None],
-                    out=u[:, 2])
-    b[...] = da
-    if kind == "gru-d":
-        v, w_decay_x, b_decay_x, w_decay_h, b_decay_h = decay
-        np.multiply(da[..., None], bw["m"][:, None, None], out=v)
-        da_x, da_h = cells.grud_decay_backward(layer, bw)
-        delta = bw["delta"]
-        np.multiply(da_x, delta, out=w_decay_x)
-        b_decay_x[...] = da_x
-        np.multiply(da_h[..., None], delta[:, None], out=w_decay_h)
-        b_decay_h[...] = da_h
-    return rows
+def backward(model: Model, trace: Plan, y: float) -> np.ndarray:
+    """Exact gradient of (y_hat - y)^2 w.r.t. theta, in theta's layout, for
+    the window the trace (a one-window plan, such as `forward`'s) ran
+    last; the first call on a plan lays out its backward. The result is
+    the plan's gradient buffer.
+
+    Layer by layer from the top, each layer's time loop runs only the
+    recurrence, and its weight and input gradients follow from the filled
+    gate-gradient buffer (`cells`)."""
+    if trace.grad is None:
+        trace.lay_out_backward(model)
+    h_final, g_w, g_b, head_w, dh_final = trace.head_grad
+    dy = 2.0 * (trace.y_hat[0] - y)
+    np.multiply(h_final, dy, g_w)
+    g_w += 0.0  # as a sum from zero: a -0.0 product gives +0.0
+    g_b.fill(0.0 + dy)
+    np.multiply(head_w, dy, dh_final)
+    for layer in trace.down:
+        layer.backward()
+    return trace.grad
 
 
-def backward(model: Model, trace: dict, y: float) -> np.ndarray:
-    """Exact gradient of (y_hat - y)^2 w.r.t. theta, in theta's layout.
-
-    Layer by layer from the top, each time loop runs only the recurrence:
-    the step kernels read the layer's `cells.backward_cache` by step and
-    fill its gate-gradient buffer. From the full buffer follow the weight
-    gradients (`_weight_rows`) and the input gradient that the layer below
-    adds at each step (`cells.window_input_grad`)."""
-    spec = model.spec
-    grad = np.zeros_like(model.theta)
-    dy = 2.0 * (trace["y_hat"] - y)
-    head = grad[model._layer_spans[-1][1]:]  # head.w, then head.b
-    head[:-1] += dy * trace["h_final"]
-    head[-1:] += dy
-    dh_final = dy * model.head_w
-
-    if spec.variant == "ffnn":
-        dv = dh_final
-        for li in range(len(model.layers) - 1, -1, -1):
-            # the bottom layer's input gradient feeds nothing
-            start, stop = model._layer_spans[li]
-            dv = cells.dense_step_backward(model.layers[li], trace["caches"][li],
-                                           dv, grad[start:stop],
-                                           input_grad=li > 0)
-        return grad
-
-    d_above = None  # the input gradient [T, H] of the layer above
-    for li in range(len(model.layers) - 1, -1, -1):
-        kind, layer = _layer_kind(spec, li), model.layers[li]
-        bw = cells.backward_cache(kind, trace["caches"][li])
-        dh = dh_final if d_above is None else np.zeros(spec.hidden_size)
-        dc = np.zeros(spec.hidden_size)
-        for t in range(len(bw["da"]) - 1, -1, -1):
-            d_out = dh if d_above is None else dh + d_above[t]
-            if kind == "lstm":
-                dh, dc = cells.lstm_step_backward(layer, bw, t, d_out, dc)[1:]
-            elif kind == "gru-d":
-                dh = cells.grud_step_backward(layer, bw, t, d_out)[1]
-            else:
-                dh = cells.gru_step_backward(layer, bw, t, d_out)[1]
-        start, stop = model._layer_spans[li]
-        # the rows in reverse time order, one after another from 0.0: the
-        # kept axis is wide, so numpy adds them in turn, not pairwise
-        np.add.reduce(_weight_rows(kind, layer, bw, stop - start)[::-1],
-                      axis=0, initial=0.0, out=grad[start:stop])
-        if li > 0:  # the bottom layer's input gradient feeds nothing
-            d_above = cells.window_input_grad(layer, bw)
-    return grad
-
-
-def _kink_excluded(model: Model, trace: dict) -> np.ndarray:
+def _kink_excluded(model: Model, trace: Plan) -> np.ndarray:
     """Mask over theta of the decay-tensor elements whose rectifier sits too
     close to its kink: finite differences straddle the kink there, so the
     comparison is meaningless."""
     excluded = np.zeros(model.theta.size, dtype=bool)
     if model.spec.variant != "gru-d":
         return excluded
-    cache = trace["caches"][0]
+    cache = {k: v[0] for k, v in trace.caches[0].items()}
     max_delta = float(np.max(cache["delta"])) if cache["delta"].size else 0.0
     tol = 10.0 * GRADCHECK_EPS * (1.0 + max_delta)
     near_x = np.any(np.abs(cache["pre_x"]) < tol, axis=0)
@@ -323,7 +324,8 @@ def gradient_check(model: Model, sample: TimeSeriesSample) -> float:
     """Worst relative error of analytic gradients vs central differences."""
     eps = GRADCHECK_EPS
     y = sample.y
-    y_hat, trace = forward(model, sample)
+    trace = Plan(model, stack_inputs(model, [sample]))
+    y_hat = float(trace.run()[0])
     analytic = backward(model, trace, y)
     excluded = _kink_excluded(model, trace)
 
@@ -341,9 +343,9 @@ def gradient_check(model: Model, sample: TimeSeriesSample) -> float:
     for k in np.flatnonzero(~excluded):
         orig = theta[k]
         theta[k] = orig + eps
-        lp = loss_mse(forward(model, sample)[0], y)
+        lp = loss_mse(float(trace.run()[0]), y)
         theta[k] = orig - eps
-        lm = loss_mse(forward(model, sample)[0], y)
+        lm = loss_mse(float(trace.run()[0]), y)
         theta[k] = orig
         numeric = (lp - lm) / (2.0 * eps)
         a = analytic[k]
@@ -423,8 +425,11 @@ def load_model(path) -> Model:
         view[...] = _tensor_from_doc(saved[name], path, name, view.shape)
     d = (spec.input_dim,)
     if "x_mean" in doc:
-        model.layers[0].x_mean = _tensor_from_doc(doc["x_mean"], path,
-                                                  "x_mean", d)
+        x_mean = _tensor_from_doc(doc["x_mean"], path, "x_mean", d)
+        if spec.variant != "gru-d":
+            raise ConfigError(f"{path}: x_mean is the decay cell's training "
+                              f"mean; a {spec.variant} model has none")
+        model.layers[0].x_mean = x_mean
     if "train_stats" in doc:
         stats = doc["train_stats"]
         if not isinstance(stats, dict):

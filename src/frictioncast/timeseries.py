@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -204,18 +204,32 @@ def synthesize(config: SynthConfig, seed: int) -> SegmentSeries:
                          timestamps=days)
 
 
-def inject_missing(sample: TimeSeriesSample, rate: float,
-                   seed: int) -> TimeSeriesSample:
-    """Mask each input step i.i.d. with probability `rate`; target untouched."""
+def mask_windows(samples: list[TimeSeriesSample], rate: float,
+                 seeds: list[int]) -> list[TimeSeriesSample]:
+    """Mask each input step of fully observed, same-shape windows i.i.d.
+    with probability `rate`, window i from its own seed `seeds[i]`; targets
+    untouched. The intervals of all windows come from one recurrence."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"missing rate must lie in [0, 1), got {rate}")
-    if not sample.fully_observed:
-        raise DataError("inject_missing expects a fully observed sample")
+    for i, sample in enumerate(samples):
+        if not sample.fully_observed:
+            raise DataError(f"mask_windows expects fully observed windows; "
+                            f"window {i} has missing entries")
     if rate == 0.0:
-        return sample
-    rng = new_rng(seed)
-    drop = rng.random(sample.x.shape) < rate
-    x = np.where(drop, np.nan, sample.x)
+        return list(samples)
+    x = np.array([np.where(new_rng(seed).random(sample.x.shape) < rate,
+                           np.nan, sample.x)
+                  for sample, seed in zip(samples, seeds, strict=True)])
     m = missingness.compute_mask(x)
-    delta = missingness.compute_intervals(sample.s, m)
-    return replace(sample, x=x, m=m, delta=delta)
+    delta = missingness.compute_intervals(
+        np.array([sample.s for sample in samples]), m)
+    return [TimeSeriesSample(x=x[i], s=sample.s, m=m[i], delta=delta[i],
+                             y=sample.y)
+            for i, sample in enumerate(samples)]
+
+
+def inject_missing(sample: TimeSeriesSample, rate: float,
+                   seed: int) -> TimeSeriesSample:
+    """Mask each input step i.i.d. with probability `rate`; target untouched.
+    The one-window case of `mask_windows`."""
+    return mask_windows([sample], rate, [seed])[0]

@@ -4,6 +4,13 @@ Updates are per-sample (stochastic). Each epoch reshuffles the training set
 from a seed derived deterministically from the master seed, so a fixed seed
 reproduces the whole run bit for bit. The best-validation parameters are
 restored when early stopping fires.
+
+A job lays out its training step once (`train`): both prepared splits are
+stacked and checked once (`network.stack_inputs`), a `network.Plan` holds
+the forward and backward of one training window and another the forward
+of the validation split, and Adam's state holds its scratch. Each window's
+forward (`Plan.run`), backward and Adam update then only compute, into the
+same buffers, as one-off calls on fresh plans would, bit for bit.
 """
 
 from __future__ import annotations
@@ -52,6 +59,11 @@ class AdamState:
     m: np.ndarray  # first and second moments, in theta's layout
     v: np.ndarray
     t: int = 0
+    # two vectors of scratch for the update, in the same layout
+    work: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.work = np.empty((2, *self.m.shape))
 
     @classmethod
     def for_model(cls, model: network.Model) -> "AdamState":
@@ -79,12 +91,22 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState,
     b1, b2 = config.beta1, config.beta2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    state.m *= b1
-    state.m += (1.0 - b1) * grad
-    state.v *= b2
-    state.v += (1.0 - b2) * grad * grad
-    theta -= config.learning_rate * (state.m / bc1) / (np.sqrt(state.v / bc2)
-                                                       + config.eps_adam)
+    m, v, (step, den) = state.m, state.v, state.work
+    m *= b1
+    np.multiply(grad, 1.0 - b1, step)
+    m += step
+    v *= b2
+    np.multiply(grad, 1.0 - b2, step)
+    step *= grad
+    v += step
+    # lr * (m / bc1) / (sqrt(v / bc2) + eps)
+    np.divide(m, bc1, step)
+    step *= config.learning_rate
+    np.divide(v, bc2, den)
+    np.sqrt(den, den)
+    den += config.eps_adam
+    step /= den
+    theta -= step
 
 
 def _prepare_inputs(samples: list[TimeSeriesSample], variant: str,
@@ -114,12 +136,13 @@ def _prepare_inputs(samples: list[TimeSeriesSample], variant: str,
             for i, sample in enumerate(samples)]
 
 
-def _mean_loss(model: network.Model, samples: list[TimeSeriesSample]) -> float:
-    """Mean squared error over `samples`, summed in sample order."""
+def _mean_loss(y_hat: np.ndarray, y: list[float]) -> float:
+    """Mean squared error of predictions against targets, summed in sample
+    order."""
     total = 0.0
-    for y_hat, s in zip(network.predict(model, samples).tolist(), samples):
-        total += network.loss_mse(y_hat, s.y)
-    return total / len(samples)
+    for a, b in zip(y_hat.tolist(), y):
+        total += network.loss_mse(a, b)
+    return total / len(y)
 
 
 def train(model: network.Model, splits: DatasetSplit,
@@ -134,6 +157,14 @@ def train(model: network.Model, splits: DatasetSplit,
     train_set = _prepare_inputs(splits.train, variant, imputation, stats)
     val_set = _prepare_inputs(splits.validation, variant, imputation, stats)
 
+    # the job's step plan: both splits stacked and checked once, a plan for
+    # one training window (its backward is laid out by the first
+    # `network.backward`) and one for the validation split, and Adam's state
+    windows = list(network.stack_inputs(model, train_set)[:, None])
+    targets = [s.y for s in train_set]
+    step = network.Plan(model, np.empty_like(windows[0]))
+    val = network.Plan(model, network.stack_inputs(model, val_set))
+    val_targets = [s.y for s in val_set]
     state = AdamState.for_model(model)
     report = TrainReport()
     best_val = math.inf
@@ -142,16 +173,15 @@ def train(model: network.Model, splits: DatasetSplit,
     for epoch in range(1, config.max_epochs + 1):
         order = new_rng(seed * 1_000_003 + epoch).permutation(len(train_set))
         epoch_loss = 0.0
-        for i in order:
-            sample = train_set[i]
-            y_hat, trace = network.forward(model, sample)
-            loss = network.loss_mse(y_hat, sample.y)
+        for i in order.tolist():
+            y_hat = float(step.run(windows[i])[0])
+            loss = network.loss_mse(y_hat, targets[i])
             if not math.isfinite(loss):
                 raise DivergenceError(f"non-finite training loss at epoch {epoch}")
             epoch_loss += loss
-            grad = network.backward(model, trace, sample.y)
+            grad = network.backward(model, step, targets[i])
             adam_step(model.theta, grad, state, config)
-        val_loss = _mean_loss(model, val_set)
+        val_loss = _mean_loss(val.run(), val_targets)
         if not math.isfinite(val_loss):
             raise DivergenceError(f"non-finite validation loss at epoch {epoch}")
         report.train_losses.append(epoch_loss / len(train_set))

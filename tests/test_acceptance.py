@@ -72,9 +72,12 @@ def test_criterion_2_decay_cell_reduction():
         draws = [(rng.random(d), rng.random(d) * 3.0) for _ in range(t_len)]
         x = np.array([x_t for x_t, _ in draws])[None]
         delta = np.array([delta_t for _, delta_t in draws])[None]
-        hg, _ = cells.gru_layer(gru, x)  # the state after every step
-        hd, _ = cells.grud_layer(grud, x, np.ones_like(x), delta)
-        worst = max(worst, float(np.max(np.abs(hg - hd))))
+        hg = cells.GruLayer(gru, x)  # the state after every step: out
+        hd = cells.GrudLayer(grud, cells.grud_inputs(grud, x, np.ones_like(x),
+                                                     delta))
+        hg.forward()
+        hd.forward()
+        worst = max(worst, float(np.max(np.abs(hg.out - hd.out))))
     check(2, "decay cell reduces to plain cell on observed input",
           worst < 1e-12, f"max |h_gru - h_grud| = {worst:.2e} over 100 draws")
 

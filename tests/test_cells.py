@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from frictioncast import cells, network
+from frictioncast import cells
 from frictioncast.errors import ShapeError
 from frictioncast.linalg import new_rng
 
@@ -23,6 +23,20 @@ def window(cache, b=0):
     return {k: v[b] for k, v in cache.items()}
 
 
+class WindowCache(dict):
+    """Window 0's cache [T, ·] of a layer plan that ran, and the plan."""
+
+    def __init__(self, layer):
+        super().__init__(window(layer.cache))
+        self.layer = layer
+
+
+def run(layer):
+    """Run a freshly laid-out layer plan: (out, cache)."""
+    layer.forward()
+    return layer.out, layer.cache
+
+
 def same_bits(a, b) -> bool:
     """Equal values and equal sign bits, so +0.0 and -0.0 differ."""
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
@@ -30,23 +44,25 @@ def same_bits(a, b) -> bool:
 
 def gru_one(p, x, h_prev):
     """One step of the plain cell on one window: (h [H], cache [1, ·])."""
-    out, cache = cells.gru_layer(p, x[None, None], h_prev[None])
-    return out[0, 0], window(cache)
+    layer = cells.GruLayer(p, x[None, None], h_prev[None])
+    layer.forward()
+    return layer.out[0, 0], WindowCache(layer)
 
 
 def grud_one(p, x, m, delta, h_prev):
     """The decay cell on one window of steps x, m, delta [T, D] from state
     h_prev: (the last state [H], cache [T, ·])."""
-    out, cache = cells.grud_layer(p, x[None], m[None], delta[None],
-                                  h_prev[None])
-    return out[0, -1], window(cache)
+    layer = cells.GrudLayer(p, cells.grud_inputs(p, x[None], m[None],
+                                                 delta[None]), h_prev[None])
+    layer.forward()
+    return layer.out[0, -1], WindowCache(layer)
 
 
 def lstm_one(p, x, h_prev, c_prev):
     """One LSTM step on one window: (h, c, cache [1, ·])."""
-    out, cache = cells.lstm_layer(p, x[None, None], h_prev[None],
-                                  c_prev[None])
-    return out[0, 0], cache["c"][0, 0], window(cache)
+    layer = cells.LstmLayer(p, x[None, None], h_prev[None], c_prev[None])
+    layer.forward()
+    return layer.out[0, 0], layer.cache["c"][0, 0], WindowCache(layer)
 
 
 # --- plain cell forward ------------------------------------------------------
@@ -103,7 +119,7 @@ def test_gru_matches_scalar_oracle():
 def test_gru_shape_mismatch():
     p = cells.init_gru(2, 3, new_rng(0))
     with pytest.raises(ShapeError):
-        cells.gru_layer(p, np.zeros((1, 1, 3)))
+        cells.GruLayer(p, np.zeros((1, 1, 3)))
 
 
 def test_gate_and_candidate_ranges():
@@ -224,8 +240,8 @@ def test_grud_missing_with_unit_decay_uses_last_observation():
 def test_grud_requires_x_mean():
     p = cells.init_grud(1, 3, new_rng(0))
     with pytest.raises(ShapeError, match="x_mean"):
-        cells.grud_layer(p, np.zeros((1, 1, 1)), np.ones((1, 1, 1)),
-                         np.zeros((1, 1, 1)))
+        cells.grud_inputs(p, np.zeros((1, 1, 1)), np.ones((1, 1, 1)),
+                          np.zeros((1, 1, 1)))
 
 
 def test_grud_state_is_convex_mix():
@@ -294,18 +310,18 @@ def test_lstm_matches_scalar_oracle():
 
 def test_dense_tanh_of_bias():
     p = cells.DenseParams(w=np.zeros((2, 3)), b=np.array([0.3, -0.7]))
-    y, _ = cells.dense_step(p, np.ones(3))
-    assert np.allclose(y, np.tanh([0.3, -0.7]))
+    y, _ = run(cells.DenseLayer(p, np.ones((1, 3))))
+    assert np.allclose(y[0], np.tanh([0.3, -0.7]))
 
 
 def test_dense_matches_scalar_oracle():
     rng = new_rng(10)
     p = cells.init_dense(3, 2, rng)
     x = rng.standard_normal(3)
-    y, _ = cells.dense_step(p, x)
+    y, _ = run(cells.DenseLayer(p, x[None]))
     for i in range(2):
         a = p.b[i] + sum(p.w[i][j] * x[j] for j in range(3))
-        assert y[i] == pytest.approx(math.tanh(a), abs=1e-12)
+        assert y[0, i] == pytest.approx(math.tanh(a), abs=1e-12)
 
 
 # --- initialization ----------------------------------------------------------
@@ -377,30 +393,24 @@ def numeric_step_grads(step_fn, params, eps=1e-5):
     return out
 
 
+def step_outputs(kind, layer, t):
+    """What step t's backward kernel left in the layer plan's buffers: its
+    gate grads and dh_prev, then dh_hat (decay cell) or dc_prev (LSTM)."""
+    extra = {"gru": (), "gru-d": ("dh_hat",), "lstm": ("dcs",)}[kind]
+    return (layer.da[t], layer.dhs[t], *(getattr(layer, k)[t] for k in extra))
+
+
 def window_weight_grads(kind, p, cache, dh):
     """Weight grads of sum(dh * h_T) over one window's cache [T, ·], by
     tensor name, what each step's backward kernel returned, and the input
-    grads [T, D]: the kernels run back through time on the window's
-    `backward_cache`, then the per-window gradient rows
-    (`network._weight_rows`) are added up in reverse time order."""
-    bw = cells.backward_cache(kind, cache)
-    t_len = bw["da"].shape[0]
-    outs, dc = [None] * t_len, np.zeros_like(dh)
-    for t in range(t_len - 1, -1, -1):
-        if kind == "lstm":
-            outs[t] = cells.lstm_step_backward(p, bw, t, dh, dc)
-            dc = outs[t][2]
-        elif kind == "gru-d":
-            outs[t] = cells.grud_step_backward(p, bw, t, dh)
-        else:
-            outs[t] = cells.gru_step_backward(p, bw, t, dh)
-        dh = outs[t][1]
-    n = sum(t.size for t in p.tensors().values())
-    rows = network._weight_rows(kind, p, bw, n)
-    total = np.zeros(n)
-    for t in range(t_len - 1, -1, -1):
-        total += rows[t]
-    return p.tensors(total), outs, cells.window_input_grad(p, bw)
+    grads [T, D]: the layer plan that ran the window (`cache.layer`) lays
+    out its backward from dh at the last step's output and runs it."""
+    layer = cache.layer
+    grad = np.zeros(sum(t.size for t in p.tensors().values()))
+    layer.lay_out_backward(grad, dh.copy())
+    layer.backward()
+    outs = [step_outputs(kind, layer, t) for t in range(len(layer.da))]
+    return p.tensors(grad), outs, layer.dx
 
 
 def assert_grads_close(analytic, numeric, tol=1e-6, skip=()):
@@ -526,43 +536,46 @@ def test_backward_steps_keep_the_per_step_association(kind):
     if kind == "gru-d":
         m = (rng.random((t_len, d)) > 0.4).astype(float)
         delta = rng.uniform(0.5, 3.0, (t_len, d))
-        cache = grud_one(p, np.where(m > 0.5, x, np.nan), m, delta, h0)[1]
+        layer = grud_one(p, np.where(m > 0.5, x, np.nan), m, delta, h0)[1].layer
     elif kind == "lstm":
-        cache = window(cells.lstm_layer(p, x[None], h0[None],
-                                        rng.standard_normal((1, h_dim)))[1])
+        layer = cells.LstmLayer(p, x[None], h0[None],
+                                rng.standard_normal((1, h_dim)))
     else:
-        cache = window(cells.gru_layer(p, x[None], h0[None])[1])
-    bw = cells.backward_cache(kind, cache)
+        layer = cells.GruLayer(p, x[None], h0[None])
+    cache = window(run(layer)[1])
     dh, dc = rng.standard_normal(h_dim), rng.standard_normal(h_dim)
+    layer.lay_out_backward(np.zeros(sum(t.size for t in p.tensors().values())),
+                           dh)
+    if kind == "lstm":
+        layer.dcs[-1] = dc  # a cell-state grad at the last step too
+    layer.backward()
     dx_want = np.empty((t_len, d))
     for t in range(t_len - 1, -1, -1):
+        # the grads the step's kernel received: its output's, the cell's
+        d_out = dh if t == t_len - 1 else layer.dhs[t + 1]
         c = {k: v[t] for k, v in cache.items()}
+        got = step_outputs(kind, layer, t)
         if kind == "lstm":
-            got = cells.lstm_step_backward(p, bw, t, dh, dc)
-            *want, dx_want[t] = per_step_lstm_backward(p, c, dh, dc)
-            dc = got[2]
+            *want, dx_want[t] = per_step_lstm_backward(p, c, d_out,
+                                                       layer.dcs[t + 1])
         elif kind == "gru-d":
-            da, dh_prev, dh_hat = cells.grud_step_backward(p, bw, t, dh)
-            got = da, dh_hat
-            *want, dx_want[t] = per_step_gru_backward(p, c, c["h_hat"], dh)
-            assert np.array_equal(dh_prev, dh_hat * c["gamma_h"])
+            *want, dx_want[t] = per_step_gru_backward(p, c, c["h_hat"], d_out)
+            assert np.array_equal(got[1], got[2] * c["gamma_h"])
+            got = got[0], got[2]
         else:
-            got = cells.gru_step_backward(p, bw, t, dh)
-            *want, dx_want[t] = per_step_gru_backward(p, c, c["h_prev"], dh)
+            *want, dx_want[t] = per_step_gru_backward(p, c, c["h_prev"], d_out)
         for a, b in zip(got, want, strict=True):
             assert same_bits(a, b)
-        dh = got[1] if kind != "gru-d" else dh_prev
-    assert same_bits(cells.window_input_grad(p, bw), dx_want)
+    assert same_bits(layer.dx, dx_want)
 
 
 def test_zero_upstream_gradient_gives_zero_grads():
     rng = new_rng(24)
     p = cells.init_gru(1, 3, rng)
     _, cache = gru_one(p, rng.standard_normal(1), rng.standard_normal(3))
-    bw = cells.backward_cache("gru", cache)
-    g, dh_prev = cells.gru_step_backward(p, bw, 0, np.zeros(3))
-    dx = cells.window_input_grad(p, bw)
-    assert np.all(g == 0)
+    grads, ((g, dh_prev),), dx = window_weight_grads("gru", p, cache,
+                                                     np.zeros(3))
+    assert np.all(g == 0) and all(np.all(v == 0) for v in grads.values())
     assert np.all(dh_prev == 0) and np.all(dx == 0)
 
 

@@ -376,6 +376,11 @@ BAD_CONFIGS = [
     ({"missing_rates": [-math.inf]}, "missing_rates[0]"),
     ({"train": {"beta1": 1.5}}, "train.beta1"),
     ({"train": {"beta2": 1}}, "train.beta2"),
+    # a repeated entry used to run its jobs again, counted as more seeds
+    ({"models": [{"variant": "gru-d"}, {"variant": "gru", "imputation": "last"},
+                 {"variant": "gru", "imputation": "last"}]},
+     "models[2] repeats models[1]"),
+    ({"missing_rates": [0.5, 0.2, 0.5]}, "missing_rates[2] repeats 0.5"),
 ]
 
 

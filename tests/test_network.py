@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from frictioncast import cells, cli, network, timeseries
+from frictioncast import cli, network, timeseries
 from frictioncast.errors import ConfigError, ShapeError, UnimputedValueError
 from frictioncast.linalg import new_rng
 from frictioncast.missingness import compute_intervals, compute_mask
+from test_cells import (per_step_gru_backward, per_step_lstm_backward,
+                        step_outputs, window)
 
 
 def make_sample(rng, t_len=7, missing=0.0):
@@ -119,7 +121,7 @@ def test_head_gradient_closed_form():
     y_hat, trace = network.forward(model, sample)
     grads = model.unflatten(network.backward(model, trace, sample.y))
     resid = 2 * (y_hat - sample.y)
-    assert np.allclose(grads["head.w"], resid * trace["h_final"], atol=1e-12)
+    assert np.allclose(grads["head.w"], resid * trace.h_final[0], atol=1e-12)
     assert grads["head.b"][0] == pytest.approx(resid, abs=1e-12)
 
 
@@ -238,8 +240,7 @@ def per_step_reference(kind, layer, cache, outs):
 
 @pytest.mark.parametrize("variant,depth", [("gru", 2), ("gru-d", 1),
                                            ("gru-d", 2), ("lstm", 2)])
-def test_window_weight_grads_keep_the_per_step_association(variant, depth,
-                                                           monkeypatch):
+def test_window_weight_grads_keep_the_per_step_association(variant, depth):
     # H = 5 is not a multiple of 4, where BLAS and numpy reductions reorder
     rng = new_rng(41)
     model = network.build_model(
@@ -253,19 +254,13 @@ def test_window_weight_grads_keep_the_per_step_association(variant, depth,
         layer.w_decay_h[...] = np.abs(layer.w_decay_h)
     sample = make_sample(rng, missing=0.5 if variant == "gru-d" else 0.0)
 
-    outs = {}  # each step kernel's return, by the id of the layer and step
-    for name in ("gru_step_backward", "grud_step_backward",
-                 "lstm_step_backward"):
-        def record(p, bw, t, *args, _kernel=getattr(cells, name), **kw):
-            outs[id(p), t] = _kernel(p, bw, t, *args, **kw)
-            return outs[id(p), t]
-        monkeypatch.setattr(cells, name, record)
     _, trace = network.forward(model, sample)
     grads = model.unflatten(network.backward(model, trace, sample.y))
     for li, layer in enumerate(model.layers):
-        ref = per_step_reference(network._layer_kind(model.spec, li), layer,
-                                 trace["caches"][li],
-                                 [outs[id(layer), t]
+        kind = network._layer_kind(model.spec, li)
+        plan = trace.layers[li]  # each step kernel's outputs, in its buffers
+        ref = per_step_reference(kind, layer, window(trace.caches[li]),
+                                 [step_outputs(kind, plan, t)
                                   for t in range(len(sample.x))])
         for name, want in ref.items():
             got = grads[f"layers.{li}.{name}"]
@@ -275,19 +270,20 @@ def test_window_weight_grads_keep_the_per_step_association(variant, depth,
 
 def time_major_backward(model, trace, y):
     """The loss gradient by one time loop over all layers, the top layer
-    first at each step: each layer's per-step input grad goes straight to
-    the layer below, and each weight grad is a reverse-time sum of per-step
-    outer products (`per_step_reference`)."""
+    first at each step, each step the backward written out on its cache row
+    (`per_step_gru_backward`, `per_step_lstm_backward`): each layer's
+    per-step input grad goes straight to the layer below, and each weight
+    grad is a reverse-time sum of per-step outer products
+    (`per_step_reference`)."""
     spec, n = model.spec, len(model.layers)
     grad = np.zeros_like(model.theta)
     views = model.unflatten(grad)
-    dy = 2.0 * (trace["y_hat"] - y)
-    views["head.w"][...] += dy * trace["h_final"]
+    dy = 2.0 * (trace.y_hat[0] - y)
+    views["head.w"][...] += dy * trace.h_final[0]
     views["head.b"][...] += dy
     kinds = [network._layer_kind(spec, li) for li in range(n)]
-    bws = [cells.backward_cache(kind, cache)
-           for kind, cache in zip(kinds, trace["caches"])]
-    t_len = len(bws[0]["da"])
+    caches = [window(cache) for cache in trace.caches]
+    t_len = len(caches[0]["c"])
     dh = [np.zeros(spec.hidden_size) for _ in range(n)]
     dc = [np.zeros(spec.hidden_size) for _ in range(n)]
     dh[-1] = dy * model.head_w
@@ -296,19 +292,21 @@ def time_major_backward(model, trace, y):
         dx_above = None
         for li in range(n - 1, -1, -1):
             d_out = dh[li] if dx_above is None else dh[li] + dx_above
-            layer, bw = model.layers[li], bws[li]
+            layer = model.layers[li]
+            c = {k: v[t] for k, v in caches[li].items()}
             if kinds[li] == "lstm":
-                out = cells.lstm_step_backward(layer, bw, t, d_out, dc[li])
+                out = per_step_lstm_backward(layer, c, d_out, dc[li])[:3]
                 dc[li] = out[2]
             elif kinds[li] == "gru-d":
-                out = cells.grud_step_backward(layer, bw, t, d_out)
+                da, dh_hat, _ = per_step_gru_backward(layer, c, c["h_hat"],
+                                                      d_out)
+                out = da, dh_hat * c["gamma_h"], dh_hat
             else:
-                out = cells.gru_step_backward(layer, bw, t, d_out)
+                out = per_step_gru_backward(layer, c, c["h_prev"], d_out)[:2]
             outs[li][t], dh[li] = out, out[1]
             dx_above = per_step_input_grad(kinds[li], layer, out[0])
     for li, layer in enumerate(model.layers):
-        ref = per_step_reference(kinds[li], layer, trace["caches"][li],
-                                 outs[li])
+        ref = per_step_reference(kinds[li], layer, caches[li], outs[li])
         for name, want in ref.items():
             views[f"layers.{li}.{name}"][...] = want
     return grad
@@ -358,16 +356,16 @@ def test_batched_rows_equal_the_one_window_forward(variant, depth):
     for b_size in (1, 2, 7, 13):
         batch = samples[:b_size]
         preds = network.predict(model, batch)
-        y_hat, caches, h_final = network._run(
-            model, *network.stack_windows(batch, "x", "m", "delta"))
-        assert np.array_equal(preds, y_hat)
+        plan = network.Plan(model, network.stack_inputs(model, batch))
+        assert np.array_equal(preds, plan.run())
         for b, (y_one, trace) in enumerate(one[:b_size]):
             assert preds[b] == y_one
-            assert np.array_equal(h_final[b], trace["h_final"])
-            for cache, want in zip(caches, trace["caches"]):
+            assert np.array_equal(plan.h_final[b], trace.h_final[0])
+            for cache, want in zip(plan.caches, trace.caches):
                 assert cache.keys() == want.keys()
                 for key, arr in cache.items():
-                    assert np.array_equal(arr[b], want[key], equal_nan=True), key
+                    assert np.array_equal(arr[b], want[key][0],
+                                          equal_nan=True), key
 
 
 def test_predict_rejects_what_forward_rejects():
@@ -504,10 +502,15 @@ def _negative_window(doc):  # used to end in a raw ValueError
     return "bad model spec: window_len must be >= 1, got -1"
 
 
+def _stray_x_mean(doc):  # used to load as an attribute of layer 0
+    doc["x_mean"] = {"shape": [1], "data": [0.25]}
+    return "x_mean is the decay cell's training mean; a gru model has none"
+
+
 LOAD_EDITS = [_drop_tensor, _add_tensor, _shrink_tensor, _short_data,
               _null_weight, _nan_x_mean, _infinite_stats_mean,
               _negative_max_interval, _float_hidden_size, _bool_hidden_size,
-              _float_depth, _negative_window]
+              _float_depth, _negative_window, _stray_x_mean]
 
 
 @pytest.mark.parametrize("edit", LOAD_EDITS, ids=lambda f: f.__name__.strip("_"))
@@ -533,6 +536,20 @@ def test_cli_names_the_file_and_key_of_a_model_that_does_not_load(
     assert f"{path}: " in err and message in err
     assert "Traceback" not in err
     assert not (tmp_path / "decay_curve.csv").exists()
+
+
+@pytest.mark.parametrize("variant", ["gru", "lstm", "ffnn"])
+def test_load_rejects_x_mean_without_the_decay_cell(tmp_path, variant):
+    model = network.build_model(
+        network.ModelSpec(variant, hidden_size=3, window_len=7), new_rng(18))
+    path = tmp_path / "model.json"
+    network.save_model(model, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["x_mean"] = {"shape": [1], "data": [0.25]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError, match="x_mean") as exc:
+        network.load_model(path)
+    assert str(exc.value).startswith(f"{path}: ")
 
 
 def test_forward_shape_check():

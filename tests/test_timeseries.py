@@ -258,3 +258,37 @@ def test_inject_deterministic():
     a = ts.inject_missing(sample, 0.5, seed=5)
     b = ts.inject_missing(sample, 0.5, seed=5)
     assert np.array_equal(a.m, b.m)
+
+
+@pytest.mark.parametrize("rate", [0.2, 0.5, 0.8])
+def test_mask_windows_equals_the_per_window_loop(rate):
+    """A split masked in one pass equals masking it window by window, bit for
+    bit: each window's mask drawn from its own seed, its intervals from its
+    own recurrence on timestamps with uneven gaps."""
+    from frictioncast import missingness
+    from frictioncast.linalg import new_rng
+    rng = np.random.default_rng(4)
+    days = np.cumsum(rng.uniform(0.3, 2.7, 60))
+    series = ts.SegmentSeries("s", rng.random(60), days)
+    samples = ts.window(series, 9)
+    seeds = [int(v) for v in rng.integers(0, 2**32, len(samples))]
+    got = ts.mask_windows(samples, rate, seeds)
+    for sample, seed, out in zip(samples, seeds, got, strict=True):
+        drop = new_rng(seed).random(sample.x.shape) < rate
+        x = np.where(drop, np.nan, sample.x)
+        m = missingness.compute_mask(x)
+        want = {"x": x, "m": m,
+                "delta": missingness.compute_intervals(sample.s, m)}
+        one = ts.inject_missing(sample, rate, seed)
+        for key, value in want.items():
+            assert np.array_equal(getattr(out, key), value, equal_nan=True)
+            assert np.array_equal(getattr(one, key), value, equal_nan=True)
+        assert out.s is sample.s and out.y == sample.y
+    assert any(np.any(out.m == 0.0) for out in got)
+
+
+def test_mask_windows_names_a_window_with_missing_entries():
+    samples = ts.window(make_series(20), 7)
+    samples[2] = ts.inject_missing(samples[2], 0.8, seed=3)
+    with pytest.raises(DataError, match="mask_windows .* window 2 has"):
+        ts.mask_windows(samples, 0.5, list(range(len(samples))))

@@ -1,4 +1,5 @@
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -125,8 +126,9 @@ def test_train_restores_best_epoch_params():
     model, report = training.train(model, splits, None, cfg, seed=7)
     best_val = report.val_losses[report.best_epoch - 1]
     assert best_val == min(report.val_losses)
-    assert training._mean_loss(model, splits.validation) == pytest.approx(
-        best_val, abs=1e-12)
+    y_hat = network.predict(model, splits.validation)
+    assert training._mean_loss(y_hat, [s.y for s in splits.validation]) == (
+        pytest.approx(best_val, abs=1e-12))
 
 
 def test_early_stop_window_invariant():
@@ -261,3 +263,106 @@ def test_prepare_inputs_rejects_windows_that_do_not_stack_or_increase():
         m=stalled.m, delta=stalled.delta, y=stalled.y)
     with pytest.raises(DataError, match="strictly increasing"):
         training._prepare_inputs([stalled] + samples, "gru", "last", stats)
+
+
+# --- the step plan -----------------------------------------------------------
+
+def one_off_train(model, splits, imputation, config, seed):
+    """`training.train`'s loop through one-off calls: a fresh forward and
+    backward for every window and a fresh predict for every validation."""
+    from frictioncast import missingness
+    stats = missingness.empirical_mean([s.view() for s in splits.train])
+    network.set_train_stats(model, stats)
+    variant = model.spec.variant
+    train_set = training._prepare_inputs(splits.train, variant, imputation,
+                                         stats)
+    val_set = training._prepare_inputs(splits.validation, variant, imputation,
+                                       stats)
+    state = AdamState.for_model(model)
+    report = training.TrainReport()
+    best_val, best_theta, stale = math.inf, None, 0
+    for epoch in range(1, config.max_epochs + 1):
+        order = new_rng(seed * 1_000_003 + epoch).permutation(len(train_set))
+        epoch_loss = 0.0
+        for i in order:
+            sample = train_set[i]
+            y_hat, trace = network.forward(model, sample)
+            epoch_loss += network.loss_mse(y_hat, sample.y)
+            training.adam_step(model.theta,
+                               network.backward(model, trace, sample.y),
+                               state, config)
+        val_loss = training._mean_loss(network.predict(model, val_set),
+                                       [s.y for s in val_set])
+        report.train_losses.append(epoch_loss / len(train_set))
+        report.val_losses.append(val_loss)
+        report.epochs_run = epoch
+        if val_loss < best_val:
+            best_val, report.best_epoch = val_loss, epoch
+            best_theta, stale = model.theta.copy(), 0
+        else:
+            stale += 1
+            if stale >= config.patience:
+                break
+    model.theta[...] = best_theta
+    return model, report
+
+
+@pytest.mark.parametrize("variant,depth,imputation",
+                         [("gru", 1, "last"), ("gru", 2, "simple"),
+                          ("gru-d", 1, None), ("gru-d", 2, None),
+                          ("lstm", 2, "last"), ("ffnn", 1, "average")])
+def test_training_on_the_plan_equals_one_off_calls(variant, depth,
+                                                   imputation):
+    """The job's step plan, laid out once, trains to the same theta, report
+    and loss curve as fresh one-off forward, backward and predict calls, bit
+    for bit, over 3 epochs on windows with missing entries."""
+    splits = small_split(noise=0.05, seed=13, missing=0.4)
+    spec = network.ModelSpec(variant, hidden_size=5, recurrent_depth=depth,
+                             window_len=7)
+    config = TrainConfig(max_epochs=3, patience=2, learning_rate=3e-3)
+    got = training.train(network.build_model(spec, new_rng(13)), splits,
+                         imputation, config, seed=13)
+    want = one_off_train(network.build_model(spec, new_rng(13)), splits,
+                         imputation, config, seed=13)
+    assert np.array_equal(got[0].theta, want[0].theta)
+    assert np.array_equal(np.signbit(got[0].theta), np.signbit(want[0].theta))
+    assert got[1] == want[1]
+    assert got[1].csv_rows() == want[1].csv_rows()
+    assert got[1].epochs_run == 3
+
+
+def test_a_one_off_trace_outlives_later_forwards():
+    """A trace from a one-off forward keeps its caches, and gives the same
+    gradient, after later forwards of the same model."""
+    rng = new_rng(14)
+    model = network.build_model(network.ModelSpec("gru-d", hidden_size=4,
+                                                  recurrent_depth=2), rng,
+                                x_mean=np.array([0.5]))
+    samples = small_split(seed=14, missing=0.5).train[:3]
+    y_hat, trace = network.forward(model, samples[0])
+    caches = [{k: v.copy() for k, v in c.items()} for c in trace.caches]
+    grad = network.backward(model, trace, samples[0].y).copy()
+    for sample in samples[1:]:
+        network.backward(model, network.forward(model, sample)[1], sample.y)
+    for cache, want in zip(trace.caches, caches):
+        for key, value in cache.items():
+            assert np.array_equal(value, want[key], equal_nan=True), key
+    assert trace.y_hat[0] == y_hat
+    assert np.array_equal(network.backward(model, trace, samples[0].y), grad)
+
+
+def test_train_rejects_an_unimputed_window_reaching_a_gru():
+    """A window whose mask says observed but whose input holds NaN passes
+    the imputation step untouched; the stacked split's check stops it."""
+    from frictioncast.errors import UnimputedValueError
+    splits = small_split(seed=15)
+    bad = splits.train[4]
+    x = bad.x.copy()
+    x[2] = np.nan
+    train = list(splits.train)
+    train[4] = timeseries.TimeSeriesSample(x=x, s=bad.s, m=bad.m,
+                                           delta=bad.delta, y=bad.y)
+    splits = timeseries.DatasetSplit(train, splits.validation, splits.test)
+    with pytest.raises(UnimputedValueError, match="unimputed"):
+        training.train(fresh_model(), splits, "last",
+                       TrainConfig(max_epochs=2, patience=1), seed=15)
