@@ -5,7 +5,10 @@ default) and of `--against` under two distinct names into a temporary
 directory, imports both, and times each variant at H=8, T=7:
 - one-off calls on one window, as the forecast and the gradient check make
   them: `network.forward`, `network.backward` and `training.adam_step`, and
-  their sum (`step`);
+  their sum (`step`); one-off calls run on the plans the model keeps, so
+  a repeated call reuses the one-window plan and its backward layout;
+- `predict`: a one-off `network.predict` of a 13-window batch, which
+  reuses the model's kept batch plan;
 - `train`: one fixed short `training.train` call (3 epochs on the 23
   training windows of a 40-day series, half their entries missing), per
   training window; it lays out its step once per call.
@@ -40,8 +43,9 @@ import numpy as np  # noqa: E402
 # (variant, recurrent depth); ffnn has two dense layers
 VARIANTS = [("gru", 1), ("gru", 2), ("gru-d", 1), ("gru-d", 2), ("lstm", 2),
             ("ffnn", 1)]
-PARTS = ("forward", "backward", "adam", "step")
+PARTS = ("forward", "backward", "adam", "step", "predict")
 HIDDEN, T = 8, 7
+BATCH = 13  # windows of the one-off predict
 TRAIN_DAYS, TRAIN_EPOCHS = 40, 3
 
 
@@ -52,25 +56,28 @@ def load_package(src: Path, name: str, into: Path):
 
 
 def job(pkg, variant: str, depth: int):
-    """A model, an Adam state and one window of `pkg`: the gru-d window has
-    missing entries, the others are fully observed. Both trees draw the
-    same values."""
+    """A model, an Adam state and `BATCH` windows of `pkg`: the gru-d
+    windows have missing entries, the others are fully observed. Both trees
+    draw the same values."""
     rng = np.random.default_rng(0)
     spec = pkg.network.ModelSpec(variant, hidden_size=HIDDEN,
                                  recurrent_depth=depth, window_len=T)
     model = pkg.network.build_model(spec, pkg.linalg.new_rng(0),
                                     x_mean=np.array([0.5]))
-    s = np.cumsum(rng.uniform(0.5, 2.0, T)) - 0.5
-    s -= s[0]
-    x = rng.uniform(0.2, 0.8, (T, 1))
-    m = np.ones((T, 1))
-    if variant == "gru-d":
-        m[rng.random((T, 1)) < 0.5] = 0.0
-        x[m == 0.0] = np.nan
-    sample = pkg.timeseries.TimeSeriesSample(
-        x=x, s=s, m=m, delta=pkg.missingness.compute_intervals(s, m), y=0.4)
+    samples = []
+    for _ in range(BATCH):
+        s = np.cumsum(rng.uniform(0.5, 2.0, T)) - 0.5
+        s -= s[0]
+        x = rng.uniform(0.2, 0.8, (T, 1))
+        m = np.ones((T, 1))
+        if variant == "gru-d":
+            m[rng.random((T, 1)) < 0.5] = 0.0
+            x[m == 0.0] = np.nan
+        samples.append(pkg.timeseries.TimeSeriesSample(
+            x=x, s=s, m=m, delta=pkg.missingness.compute_intervals(s, m),
+            y=0.4))
     config = pkg.training.TrainConfig(learning_rate=1e-3)
-    return model, pkg.training.AdamState.for_model(model), sample, config
+    return model, pkg.training.AdamState.for_model(model), samples, config
 
 
 def train_job(pkg, variant: str, depth: int):
@@ -99,9 +106,11 @@ def one_train(pkg, spec, splits, imputation, config) -> float:
             / (report.epochs_run * len(splits.train)))
 
 
-def one_step(pkg, model, state, sample, config) -> list[float]:
-    """Seconds of forward, backward and Adam for one window, and their sum."""
+def one_step(pkg, model, state, samples, config) -> list[float]:
+    """Seconds of forward, backward and Adam for the first window, their
+    sum, and the seconds of a predict of all the windows."""
     clock = time.perf_counter
+    sample = samples[0]
     t0 = clock()
     _, trace = pkg.network.forward(model, sample)
     t1 = clock()
@@ -109,7 +118,9 @@ def one_step(pkg, model, state, sample, config) -> list[float]:
     t2 = clock()
     pkg.training.adam_step(model.theta, grad, state, config)
     t3 = clock()
-    return [t1 - t0, t2 - t1, t3 - t2, t3 - t0]
+    pkg.network.predict(model, samples)
+    t4 = clock()
+    return [t1 - t0, t2 - t1, t3 - t2, t3 - t0, t4 - t3]
 
 
 def main() -> int:

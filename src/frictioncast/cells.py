@@ -17,7 +17,10 @@ of them, sliced once into per-step tuples that the time loops iterate, so a
 run makes no array, dict or view of its own (numpy's iterator may still
 buffer a broadcast product) and looks up no key. A training job
 lays out one plan per layer for its one-window steps (and one for its
-validation split); a one-off call lays out a fresh one with the same code.
+validation split); one-off calls run on the plans their model keeps
+(`network`), laid out by the same code. A plan reads the parameters through
+views of their memory, and the decay cell's frozen training mean at each
+run, so a kept plan follows every update of the model.
 
 A layer's forward first does the work that does not depend on the hidden
 state, once per window: the input projections W·x and, in the decay cell,
@@ -570,19 +573,23 @@ GRUD_INPUTS = 6  # m, delta, m * x, x_last, 1 - m, x_last - x_mean
 
 
 def grud_inputs(p: GrudParams, x: np.ndarray, m: np.ndarray,
-                delta: np.ndarray) -> np.ndarray:
+                delta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The decay cell's input for B windows of possibly-missing input x, mask
-    m and intervals delta (all [B, T, D]), stacked [B, 6, T, D]: m, delta,
-    and what depends only on the window and the frozen training mean:
-    m * x, the most recent observation before each step (x_last; the mean
-    before any), 1 - m and x_last - x_mean. Missing entries of `x` may be
-    NaN; they are never read."""
+    m and intervals delta (all [B, T, D]), stacked [B, 6, T, D] (into `out`
+    when given): m, delta, and what depends only on the window and the
+    frozen training mean: m * x, the most recent observation before each
+    step (x_last; the mean before any), 1 - m and x_last - x_mean. Missing
+    entries of `x` may be NaN; they are never read."""
     if p.x_mean is None:
         raise ShapeError("x_mean is unset on the decay cell parameters")
     _check_windows(x, p.W.shape[2])
     _check("m", m, x.shape)
     _check("delta", delta, x.shape)
-    out = np.empty((len(x), GRUD_INPUTS, *x.shape[1:]))
+    shape = (len(x), GRUD_INPUTS, *x.shape[1:])
+    if out is None:
+        out = np.empty(shape)
+    else:
+        _check("out", out, shape)
     m_in, delta_in, m_x, x_last, om_m, x_dev = out.swapaxes(0, 1)
     m_in[...] = m
     delta_in[...] = delta
@@ -623,7 +630,7 @@ class GrudLayer(GruLayer):
             (p.w_decay_x, delta, pre_x, p.b_decay_x, gamma_x),
             (p.w_decay_h, delta[..., None], pre_h_col, pre_h, p.b_decay_h,
              gamma_h),
-            (x_last, work, p.x_mean, om_m, m_x, x_hat),
+            (x_last, work, om_m, m_x, x_hat),
             (p.V[:, None], _columns(m), vm))
         gamma_col = gamma_h.swapaxes(0, 1)[..., None]  # [T, B, H, 1]
         self.steps = tuple(zip(xw[:, :2], xw[:, 2], vm[:, :2], vm[:, 2],
@@ -649,11 +656,12 @@ class GrudLayer(GruLayer):
         np.matmul(w, delta, pre_col)
         pre += b
         _rate(pre, gamma_h)
-        # m * x + (1 - m) * (gamma_x * x_last + (1 - gamma_x) * x_mean)
-        x_last, work, x_mean, om_m, m_x, out = mix
+        # m * x + (1 - m) * (gamma_x * x_last + (1 - gamma_x) * x_mean),
+        # the mean read now: setting the training stats rebinds it
+        x_last, work, om_m, m_x, out = mix
         np.multiply(gamma, x_last, out)
         np.subtract(1.0, gamma, work)
-        work *= x_mean
+        work *= self.p.x_mean
         out += work
         out *= om_m
         out += m_x

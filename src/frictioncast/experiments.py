@@ -74,6 +74,10 @@ class ExperimentConfig:
                               "in [0, 1)")
         # a repeated entry would run the same jobs again, counted as seeds
         for i, entry in enumerate(self.models):
+            if entry.variant == "gru-d" and entry.imputation is not None:
+                raise ConfigError(f"models[{i}].imputation: gru-d reads the "
+                                  f"raw windows and imputes nothing, so it "
+                                  f"takes no imputation")
             if entry in self.models[:i]:
                 raise ConfigError(f"models[{i}] repeats "
                                   f"models[{self.models.index(entry)}]")

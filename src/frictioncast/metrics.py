@@ -20,6 +20,12 @@ class EvalReport:
     mape_excluded: int = 0  # targets below MAPE_GUARD in magnitude
 
 
+def _mean(a: np.ndarray) -> float:
+    """`np.mean` of a float vector, the same sum and division without its
+    dispatch, which costs more than the arithmetic on a scored split."""
+    return float(np.add.reduce(a)) / a.size
+
+
 def compute_metrics(y_true, y_pred) -> EvalReport:
     """MAE, MSE and MAPE (in percent) of predictions against targets.
 
@@ -33,12 +39,12 @@ def compute_metrics(y_true, y_pred) -> EvalReport:
     if yt.size == 0:
         raise DataError("empty prediction set")
     err = yt - yp
-    mae = float(np.mean(np.abs(err)))
-    mse = float(np.mean(err**2))
+    mae = _mean(np.abs(err))
+    mse = _mean(np.square(err))
     ok = np.abs(yt) >= MAPE_GUARD
-    excluded = int(np.sum(~ok))
-    if not np.any(ok):
+    excluded = yt.size - np.count_nonzero(ok)
+    if excluded == yt.size:
         raise DataError("all targets below the MAPE magnitude guard")
-    mape = float(100.0 * np.mean(np.abs(err[ok] / yt[ok])))
+    mape = 100.0 * _mean(np.abs(err[ok] / yt[ok]))
     return EvalReport(mae=mae, mse=mse, mape_percent=mape, n=int(yt.size),
                       mape_excluded=excluded)

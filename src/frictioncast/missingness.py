@@ -39,14 +39,21 @@ def compute_mask(values: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(values), 0.0, 1.0)
 
 
+def check_increasing(s: np.ndarray) -> np.ndarray:
+    """The gaps between the timestamps s [..., T] of each window, which must
+    be strictly increasing."""
+    gaps = s[..., 1:] - s[..., :-1]
+    if (gaps <= 0).any():
+        raise DataError("timestamps must be strictly increasing")
+    return gaps
+
+
 def observed_intervals(s: np.ndarray, d: int) -> np.ndarray:
     """Intervals [..., T, d] of fully observed windows with timestamps
     s [..., T] (any leading batch axes): each step's gap since the step
     before, 0 at the first step. This is `compute_intervals` on a mask of
     ones, without its carry."""
-    gaps = s[..., 1:] - s[..., :-1]
-    if np.any(gaps <= 0):
-        raise DataError("timestamps must be strictly increasing")
+    gaps = check_increasing(s)
     delta = np.zeros((*s.shape, d), dtype=np.float64)
     delta[..., 1:, :] = gaps[..., None]
     return delta
@@ -66,27 +73,32 @@ def compute_intervals(s: np.ndarray, m: np.ndarray) -> np.ndarray:
         raise DataError(f"timestamps {s.shape} do not match mask {m.shape}")
     delta = observed_intervals(s, m.shape[-1])
     # only a step that follows a missing entry carries an interval over;
-    # elsewhere the gap stands alone (gap + 0.0 == gap for a gap > 0)
+    # elsewhere the gap stands alone
     gone = (m == 0.0).reshape(-1, *m.shape[-2:]).swapaxes(0, 1)  # [T, N, D]
     steps = delta.reshape(-1, *m.shape[-2:]).swapaxes(0, 1)
     for t in np.flatnonzero(gone[:-1].any(axis=(1, 2))) + 1:
-        steps[t] += np.where(gone[t - 1], steps[t - 1], 0.0)
+        np.add(steps[t], steps[t - 1], out=steps[t], where=gone[t - 1])
     return delta
 
 
 def empirical_mean(views: list[MaskedView]) -> TrainStats:
-    """Mean of observed values and the largest interval, from training data only."""
+    """Mean of observed values and the largest interval, from training data
+    only: the windows `views` [T, D], stacked once."""
     if not views:
         raise DataError("no training data")
-    d = views[0].x.shape[1]
-    value_sum = np.zeros(d)
-    count = np.zeros(d)
-    max_interval = np.zeros(d)
-    for v in views:
-        obs = v.m > 0.5
-        value_sum += np.sum(np.where(obs, v.x, 0.0), axis=0)
-        count += np.sum(obs, axis=0)
-        max_interval = np.maximum(max_interval, np.max(v.delta, axis=0))
+    try:
+        x, m, delta = (np.array([getattr(v, k) for v in views])
+                       for k in ("x", "m", "delta"))
+    except ValueError as exc:
+        raise DataError(f"training windows of different shapes: {exc}"
+                        ) from exc
+    obs = m > 0.5
+    # each window's sum, then a running sum over the windows in order, from
+    # 0.0: pairwise sums over the windows would round differently
+    sums = np.sum(np.where(obs, x, 0.0), axis=1)
+    value_sum = 0.0 + np.cumsum(sums, axis=0)[-1]
+    count = np.sum(obs, axis=(0, 1))
+    max_interval = np.max(delta, axis=(0, 1), initial=0.0)
     if np.any(count == 0):
         raise DataError("a variable has no observed values in the training data")
     if np.any(max_interval <= 0):

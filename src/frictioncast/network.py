@@ -10,29 +10,39 @@ observed (or pre-imputed) input.
 
 The forward and the backward run on a `Plan`: each layer's plan (`cells`)
 laid out once for B same-length windows of the first layer's input
-(`stack_inputs`, which stacks and checks a split once) and the head's;
-the first `backward` on a one-window plan lays out its backward, down to
-the gradient vector. `Plan.run(rows)` copies rows of `stack_inputs` in and
-runs the forward. A training job lays out its plans once and runs them
-(`training.train`); the one-off calls `forward(model, sample)` and
-`predict(model, samples)` lay out a fresh forward-only plan for that call,
-with the same code. `predict` scores B windows in one pass; its entry b
-equals `forward` on window b alone bit for bit, because every product in
-the pass rounds per row. `forward` runs one window and returns its plan as
-the trace, holding each layer's cache, for `backward`, which returns the
-loss gradient in the parameter vector's layout, layer by layer too: a time
-loop of step kernels fills the layer's gate-gradient buffer, then stacked
-products over the window give its weight and input gradients.
-`gradient_check` compares it against central finite differences, all its
-forwards on one plan.
+(`layer_inputs` forms and checks it from stacked windows, `stack_inputs`
+from a list of them) and the head's; the first `backward` on a one-window
+plan lays out its backward, down to the gradient vector. `Plan.run(rows)`
+copies rows of first-layer input in and runs the forward. A training job
+lays out its plans once and runs them (`training.train`).
+
+The one-off calls `forward(model, sample)`, `predict(model, samples)` and
+`predict_inputs(model, inputs)` run on plans the model keeps, at most two:
+one for one window and one for a batch (the last batch shape it scored).
+A call reuses the kept plan of its kind when it has the call's shape and
+no live trace holds it; otherwise it lays out a fresh plan, which is kept
+in its place. `forward` writes its window's first-layer input straight
+into the plan, runs it and returns a `Trace` of it, for `backward`: while
+the caller holds the trace, no later call runs on that plan, so the trace's
+caches, prediction and gradient stay those of its window. The model tells
+by a weak reference to the last trace it lent, so nothing rests on
+reference counts. `predict` returns a copy of the plan's predictions; its
+entry b equals `forward` on window b alone bit for bit, because every
+product in the pass rounds per row.
+
+`backward` returns the loss gradient in the parameter vector's layout,
+layer by layer too: a time loop of step kernels fills the layer's
+gate-gradient buffer, then stacked products over the window give its weight
+and input gradients. `gradient_check` compares it against central finite
+differences, all its forwards on one plan.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 import json
 import math
+import weakref
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -80,6 +90,10 @@ class Model:
     head_b: np.ndarray      # [1]
     train_stats: TrainStats | None = None
     theta: np.ndarray = field(init=False, repr=False, compare=False)
+    # the plans of one-off calls (`_free_plan`): for one window (True) and
+    # for a batch (False), each with a weak reference to its trace, if lent
+    _plans: dict = field(init=False, repr=False, compare=False,
+                         default_factory=dict)
 
     def __post_init__(self):
         bounds = [0, *itertools.accumulate(
@@ -92,11 +106,11 @@ class Model:
         self.theta[head:] = np.concatenate([self.head_w, self.head_b])
         self.head_w, self.head_b = self.theta[head:-1], self.theta[-1:]
 
-    def __deepcopy__(self, memo) -> "Model":
-        # views copied one by one lose theta; the constructor relinks them
-        return Model(spec=self.spec, layers=copy.deepcopy(self.layers, memo),
-                     head_w=self.head_w.copy(), head_b=self.head_b.copy(),
-                     train_stats=copy.deepcopy(self.train_stats, memo))
+    def __reduce__(self):
+        # copied and pickled through the constructor: views copied one by
+        # one lose theta, which it relinks, and the kept plans stay behind
+        return Model, (self.spec, self.layers, self.head_w, self.head_b,
+                       self.train_stats)
 
     def unflatten(self, vec: np.ndarray) -> dict[str, np.ndarray]:
         """Views into a vector in theta's layout, keyed by dotted path: each
@@ -164,33 +178,59 @@ def stack_windows(samples: list[TimeSeriesSample],
                          ) from exc
 
 
-def stack_inputs(model: Model, samples: list[TimeSeriesSample]) -> np.ndarray:
-    """The input of the model's first layer for same-length windows, stacked
-    and checked once: the windows x [B, T, D] for gru and lstm, the decay
-    cell's inputs [B, 6, T, D] (`cells.grud_inputs`) for gru-d and the
-    flattened windows [B, T * D] for ffnn; only the decay cell may read a
-    missing (NaN) value."""
+def _input_shape(model: Model, x: np.ndarray) -> tuple:
+    """The shape of the model's first-layer input for windows x [B, T, D],
+    once they are checked to fit the model."""
     spec = model.spec
-    x, = stack_windows(samples, "x")
     if x.ndim != 3 or x.shape[2] != spec.input_dim:
         raise ShapeError(
             f"sample has {x.shape[-1]} variables, model expects {spec.input_dim}"
         )
+    b, t_len, d = x.shape
     if spec.variant == "gru-d":
-        return cells.grud_inputs(model.layers[0], x,
-                                 *stack_windows(samples, "m", "delta"))
+        return (b, cells.GRUD_INPUTS, t_len, d)
+    if spec.variant == "ffnn":
+        if t_len * d != model.layers[0].w.shape[1]:
+            raise ShapeError(
+                f"window length {t_len} does not match the configured "
+                f"feed-forward input size"
+            )
+        return (b, t_len * d)
+    return x.shape
+
+
+def _write_inputs(model: Model, x: np.ndarray, m, delta,
+                  out: np.ndarray) -> np.ndarray:
+    """The first-layer input of windows x [B, T, D] that `_input_shape`
+    checked, with their mask m and intervals delta (read by the decay cell
+    only), written into `out`; only the decay cell may read a missing (NaN)
+    value."""
+    if model.spec.variant == "gru-d":
+        return cells.grud_inputs(model.layers[0], x, m, delta, out)
     if np.isnan(x).any():
         raise UnimputedValueError(
-            f"unimputed missing value reaching a {spec.variant} model"
+            f"unimputed missing value reaching a {model.spec.variant} model"
         )
-    if spec.variant == "ffnn":
-        x = x.reshape(len(x), -1)
-        if x.shape[1] != model.layers[0].w.shape[1]:
-            raise ShapeError(
-                f"window length {len(samples[0].x)} does not match the "
-                f"configured feed-forward input size"
-            )
-    return x
+    out[...] = x.reshape(out.shape)
+    return out
+
+
+def layer_inputs(model: Model, x: np.ndarray, m: np.ndarray | None = None,
+                 delta: np.ndarray | None = None) -> np.ndarray:
+    """The input of the model's first layer for B same-length windows x
+    [B, T, D] (m and delta, their mask and intervals, are read by the decay
+    cell only), formed and checked once: the windows [B, T, D] for gru and
+    lstm, the decay cell's inputs [B, 6, T, D] (`cells.grud_inputs`) for
+    gru-d and the flattened windows [B, T * D] for ffnn; only the decay
+    cell may read a missing (NaN) value."""
+    return _write_inputs(model, x, m, delta,
+                         np.empty(_input_shape(model, x)))
+
+
+def stack_inputs(model: Model, samples: list[TimeSeriesSample]) -> np.ndarray:
+    """`layer_inputs` of same-length windows, stacked once."""
+    keys = ("x", "m", "delta") if model.spec.variant == "gru-d" else ("x",)
+    return layer_inputs(model, *stack_windows(samples, *keys))
 
 
 LAYERS = {"gru": cells.GruLayer, "gru-d": cells.GrudLayer,
@@ -199,7 +239,7 @@ LAYERS = {"gru": cells.GruLayer, "gru-d": cells.GrudLayer,
 
 class Plan:
     """A model's forward pass laid out once for B same-length windows: the
-    buffer `inputs` of the first layer's input (`stack_inputs`), each
+    buffer `inputs` of the first layer's input (`layer_inputs`), each
     layer's plan (`cells`) and the head's; for B = 1, the first `backward`
     adds the backward's buffers and the gradient vector. Running it makes
     no array, dict or view; it computes into the same buffers every time,
@@ -247,7 +287,7 @@ class Plan:
 
     def run(self, rows: np.ndarray | None = None) -> np.ndarray:
         """The forward over the windows in `inputs`, after copying `rows` of
-        `stack_inputs` (same shape) into it when given: predictions [B]
+        first-layer input (same shape) into it when given: predictions [B]
         (the plan's buffer)."""
         if rows is not None:
             np.copyto(self.inputs, rows)
@@ -259,30 +299,74 @@ class Plan:
         return self.y_hat
 
 
+class Trace:
+    """A one-off `forward`'s hold on the plan it ran on, which it stands
+    for: every attribute is the plan's. While the trace lives, no later
+    one-off call runs on its plan, so the plan keeps the traced window's
+    caches and prediction for `backward`."""
+
+    __slots__ = ("plan", "__weakref__")
+
+    def __init__(self, plan: Plan):
+        self.plan = plan
+
+    def __getattr__(self, name: str):
+        return getattr(self.plan, name)
+
+
+def _free_plan(model: Model, shape: tuple) -> Plan:
+    """A plan for first-layer inputs of `shape` that no live trace holds:
+    the model's kept one-window (B = 1) or batch plan when it has this
+    shape and its trace, if it lent one, is gone; else a fresh plan, kept
+    in its place."""
+    one = shape[0] == 1
+    kept = model._plans.get(one)
+    if kept is not None:
+        plan, lent = kept
+        if plan.inputs.shape == shape and (lent is None or lent() is None):
+            return plan
+    plan = Plan(model, np.empty(shape))
+    model._plans[one] = plan, None
+    return plan
+
+
 def forward(model: Model, sample: TimeSeriesSample):
-    """Unroll the model over one window on a fresh plan; returns (prediction,
-    trace), the trace being that plan, which holds each layer's cache for
-    `backward` and stays as it is."""
-    plan = Plan(model, stack_inputs(model, [sample]))
-    return float(plan.run()[0]), plan
+    """Unroll the model over one window, written straight into the model's
+    one-window plan (`_free_plan`); returns (prediction, trace), the trace
+    holding that plan, with each layer's cache, for `backward`: it stays as
+    it is while the caller holds it."""
+    x = sample.x[None]
+    plan = _free_plan(model, _input_shape(model, x))
+    _write_inputs(model, x, sample.m[None], sample.delta[None], plan.inputs)
+    y_hat = float(plan.run()[0])
+    trace = Trace(plan)
+    model._plans[True] = plan, weakref.ref(trace)
+    return y_hat, trace
+
+
+def predict_inputs(model: Model, inputs: np.ndarray) -> np.ndarray:
+    """Predictions [B] (a copy) of B windows given as their stacked
+    first-layer input (`layer_inputs`), in one forward pass on a plan the
+    model keeps."""
+    return _free_plan(model, inputs.shape).run(inputs).copy()
 
 
 def predict(model: Model, samples: list[TimeSeriesSample]) -> np.ndarray:
-    """Predictions [B] of B same-length windows in one forward pass on a
-    fresh plan; entry b equals `forward(model, samples[b])[0]` bit for bit,
-    because every product rounds per row."""
-    return Plan(model, stack_inputs(model, samples)).run()
+    """Predictions [B] of B same-length windows in one forward pass
+    (`predict_inputs`); entry b equals `forward(model, samples[b])[0]` bit
+    for bit, because every product rounds per row."""
+    return predict_inputs(model, stack_inputs(model, samples))
 
 
 def loss_mse(y_hat: float, y: float) -> float:
     return (y_hat - y) ** 2
 
 
-def backward(model: Model, trace: Plan, y: float) -> np.ndarray:
+def backward(model: Model, trace: Plan | Trace, y: float) -> np.ndarray:
     """Exact gradient of (y_hat - y)^2 w.r.t. theta, in theta's layout, for
-    the window the trace (a one-window plan, such as `forward`'s) ran
-    last; the first call on a plan lays out its backward. The result is
-    the plan's gradient buffer.
+    the window the trace (a one-window plan, or `forward`'s `Trace` of one)
+    ran last; the first call on a plan lays out its backward. The result is
+    the plan's gradient buffer: it stays as it is while the trace lives.
 
     Layer by layer from the top, each layer's time loop runs only the
     recurrence, and its weight and input gradients follow from the filled

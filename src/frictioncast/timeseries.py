@@ -50,7 +50,7 @@ class TimeSeriesSample:
 
     @property
     def fully_observed(self) -> bool:
-        return bool(np.all(self.m > 0.5))
+        return bool((self.m > 0.5).all())
 
 
 @dataclass(frozen=True)

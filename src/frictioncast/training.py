@@ -5,12 +5,15 @@ from a seed derived deterministically from the master seed, so a fixed seed
 reproduces the whole run bit for bit. The best-validation parameters are
 restored when early stopping fires.
 
-A job lays out its training step once (`train`): both prepared splits are
-stacked and checked once (`network.stack_inputs`), a `network.Plan` holds
-the forward and backward of one training window and another the forward
-of the validation split, and Adam's state holds its scratch. Each window's
-forward (`Plan.run`), backward and Adam update then only compute, into the
-same buffers, as one-off calls on fresh plans would, bit for bit.
+Each split reaches the model as its first-layer input, stacked and checked
+once (`_prepare_inputs`, `network.layer_inputs`): raw windows for the decay
+model, one imputer call over the stacked split for the others. A job lays
+out its training step once (`train`): a `network.Plan` holds the forward
+and backward of one training window and another the forward of the
+validation split, and Adam's state holds its scratch. Each window's forward
+(`Plan.run`), backward and Adam update then only compute, into the same
+buffers, as one-off calls would, bit for bit. `evaluate` scores a split in
+one pass on the model's kept batch plan (`network.predict_inputs`).
 """
 
 from __future__ import annotations
@@ -109,14 +112,18 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState,
     theta -= step
 
 
-def _prepare_inputs(samples: list[TimeSeriesSample], variant: str,
+def _prepare_inputs(model: network.Model, samples: list[TimeSeriesSample],
                     imputation: str | None,
-                    stats: missingness.TrainStats) -> list[TimeSeriesSample]:
-    """Impute for non-decay models; the decay model consumes samples raw."""
+                    stats: missingness.TrainStats) -> np.ndarray:
+    """The model's first-layer input for a split, stacked and checked once
+    (`network.layer_inputs`): the decay model reads the raw windows, the
+    others windows with their missing entries imputed."""
+    variant = model.spec.variant
     if variant == "gru-d":
-        return samples
-    if all(s.fully_observed for s in samples):
-        return samples
+        return network.stack_inputs(model, samples)
+    x, m, stamps, delta = network.stack_windows(samples, "x", "m", "s", "delta")
+    if (m > 0.5).all():
+        return network.layer_inputs(model, x)
     if imputation is None:
         raise ConfigError(
             f"{variant} model requires an imputation choice on missing data"
@@ -124,16 +131,11 @@ def _prepare_inputs(samples: list[TimeSeriesSample], variant: str,
     if imputation not in IMPUTATIONS:
         raise ConfigError(f"unknown imputation {imputation!r}; "
                           f"one of {sorted(IMPUTATIONS)}")
-    # the imputers are elementwise: one call fills the stacked split, and
-    # the filled windows' intervals are their timestamp gaps
-    x, m, stamps, delta = network.stack_windows(samples, "x", "m", "s", "delta")
+    missingness.check_increasing(stamps)
+    # the imputers are elementwise: one call fills the stacked split
     filled = IMPUTATIONS[imputation](
         missingness.MaskedView(x=x, m=m, s=stamps, delta=delta), stats)
-    gaps = missingness.observed_intervals(stamps, x.shape[2])
-    ones = np.ones(x.shape)
-    return [TimeSeriesSample(x=filled[i], s=sample.s, m=ones[i],
-                             delta=gaps[i], y=sample.y)
-            for i, sample in enumerate(samples)]
+    return network.layer_inputs(model, filled)
 
 
 def _mean_loss(y_hat: np.ndarray, y: list[float]) -> float:
@@ -153,25 +155,24 @@ def train(model: network.Model, splits: DatasetSplit,
 
     stats = missingness.empirical_mean([s.view() for s in splits.train])
     network.set_train_stats(model, stats)
-    variant = model.spec.variant
-    train_set = _prepare_inputs(splits.train, variant, imputation, stats)
-    val_set = _prepare_inputs(splits.validation, variant, imputation, stats)
 
     # the job's step plan: both splits stacked and checked once, a plan for
     # one training window (its backward is laid out by the first
     # `network.backward`) and one for the validation split, and Adam's state
-    windows = list(network.stack_inputs(model, train_set)[:, None])
-    targets = [s.y for s in train_set]
+    windows = list(_prepare_inputs(model, splits.train, imputation,
+                                   stats)[:, None])
+    targets = [s.y for s in splits.train]
     step = network.Plan(model, np.empty_like(windows[0]))
-    val = network.Plan(model, network.stack_inputs(model, val_set))
-    val_targets = [s.y for s in val_set]
+    val = network.Plan(model, _prepare_inputs(model, splits.validation,
+                                              imputation, stats))
+    val_targets = [s.y for s in splits.validation]
     state = AdamState.for_model(model)
     report = TrainReport()
     best_val = math.inf
     best_theta = None
     stale = 0
     for epoch in range(1, config.max_epochs + 1):
-        order = new_rng(seed * 1_000_003 + epoch).permutation(len(train_set))
+        order = new_rng(seed * 1_000_003 + epoch).permutation(len(windows))
         epoch_loss = 0.0
         for i in order.tolist():
             y_hat = float(step.run(windows[i])[0])
@@ -184,7 +185,7 @@ def train(model: network.Model, splits: DatasetSplit,
         val_loss = _mean_loss(val.run(), val_targets)
         if not math.isfinite(val_loss):
             raise DivergenceError(f"non-finite validation loss at epoch {epoch}")
-        report.train_losses.append(epoch_loss / len(train_set))
+        report.train_losses.append(epoch_loss / len(windows))
         report.val_losses.append(val_loss)
         report.epochs_run = epoch
         if val_loss < best_val:
@@ -207,8 +208,6 @@ def evaluate(model: network.Model, test_set: list[TimeSeriesSample],
         raise DataError("test set must be non-empty")
     if model.train_stats is None:
         raise ConfigError("model has no training statistics; train it first")
-    prepared = _prepare_inputs(test_set, model.spec.variant, imputation,
-                               model.train_stats)
-    y_true = [s.y for s in prepared]
-    y_pred = network.predict(model, prepared).tolist()
-    return compute_metrics(y_true, y_pred)
+    inputs = _prepare_inputs(model, test_set, imputation, model.train_stats)
+    y_pred = network.predict_inputs(model, inputs).tolist()
+    return compute_metrics([s.y for s in test_set], y_pred)

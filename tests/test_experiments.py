@@ -163,10 +163,15 @@ def test_grid_inputs_have_no_sentinels_after_imputation():
     splits = timeseries.split(samples, seed=0)
     from frictioncast.missingness import empirical_mean
     stats = empirical_mean([s.view() for s in splits.train])
-    prepared = training._prepare_inputs(splits.train, "gru", "last", stats)
-    assert all(not np.any(np.isnan(s.x)) for s in prepared)
-    raw = training._prepare_inputs(splits.train, "gru-d", None, stats)
-    assert any(np.any(np.isnan(s.x)) for s in raw)
+    gru, grud = (network.build_model(network.ModelSpec(v, hidden_size=3),
+                                     new_rng(0), x_mean=stats.mean)
+                 for v in ("gru", "gru-d"))
+    prepared = training._prepare_inputs(gru, splits.train, "last", stats)
+    assert not np.any(np.isnan(prepared))
+    # the decay cell reads the raw windows: their mask still has gaps
+    raw = training._prepare_inputs(grud, splits.train, None, stats)
+    assert np.array_equal(raw[:, 0], [s.m for s in splits.train])
+    assert np.any(raw[:, 0] == 0.0)
 
 
 # --- CLI ---------------------------------------------------------------------
@@ -381,6 +386,11 @@ BAD_CONFIGS = [
                  {"variant": "gru", "imputation": "last"}]},
      "models[2] repeats models[1]"),
     ({"missing_rates": [0.5, 0.2, 0.5]}, "missing_rates[2] repeats 0.5"),
+    # gru-d reads raw windows: an imputation was written to its rows and
+    # labels, and ran its jobs again beside the plain gru-d entry
+    ({"models": [{"variant": "gru-d"}, {"variant": "gru-d",
+                                         "imputation": "last"}]},
+     "models[1].imputation"),
 ]
 
 

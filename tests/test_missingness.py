@@ -115,6 +115,41 @@ def test_empirical_mean_requires_observations():
         mi.empirical_mean([view])
 
 
+def per_window_stats(views):
+    """`empirical_mean` window by window, a running sum from zero."""
+    d = views[0].x.shape[1]
+    value_sum, count, max_interval = np.zeros(d), np.zeros(d), np.zeros(d)
+    for v in views:
+        obs = v.m > 0.5
+        value_sum += np.sum(np.where(obs, v.x, 0.0), axis=0)
+        count += np.sum(obs, axis=0)
+        max_interval = np.maximum(max_interval, np.max(v.delta, axis=0))
+    return value_sum / count, max_interval
+
+
+@pytest.mark.parametrize("n,t_len,d", [(1, 7, 1), (12, 7, 1), (30, 9, 1),
+                                       (20, 40, 3), (150, 17, 2)])
+def test_empirical_mean_of_the_stacked_split_sums_window_by_window(n, t_len,
+                                                                   d):
+    """Each window's sum, then the windows in order, bit for bit: windows
+    longer than 8 steps and more than 8 windows, where numpy's pairwise
+    sums would round differently."""
+    rng = np.random.default_rng(n * t_len)
+    views = []
+    for _ in range(n):
+        s = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 3.0, t_len - 1))])
+        m = (rng.random((t_len, d)) > 0.4).astype(float)
+        m[0] = 1.0
+        scale = 10.0 ** rng.integers(-3, 4)
+        x = np.where(m > 0.5, scale * rng.standard_normal((t_len, d)), np.nan)
+        views.append(mi.MaskedView(x=x, m=m, s=s,
+                                   delta=mi.compute_intervals(s, m)))
+    stats = mi.empirical_mean(views)
+    mean, max_interval = per_window_stats(views)
+    assert np.array_equal(stats.mean, mean)
+    assert np.array_equal(stats.max_interval, max_interval)
+
+
 def test_impute_average_fixture():
     out = mi.impute_average(fixture_view(), FIX_STATS)
     assert np.allclose(out[:, 0], [0.8, 0.7, 0.6, 0.6, 0.6, 0.5, 0.6, 0.4])

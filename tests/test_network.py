@@ -1,7 +1,10 @@
 import copy
 import dataclasses
+import gc
 import json
 import math
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +12,8 @@ import pytest
 from frictioncast import cli, network, timeseries
 from frictioncast.errors import ConfigError, ShapeError, UnimputedValueError
 from frictioncast.linalg import new_rng
-from frictioncast.missingness import compute_intervals, compute_mask
+from frictioncast.missingness import (TrainStats, compute_intervals,
+                                      compute_mask)
 from test_cells import (per_step_gru_backward, per_step_lstm_backward,
                         step_outputs, window)
 
@@ -377,6 +381,104 @@ def test_predict_rejects_what_forward_rejects():
         network.predict(gru, [make_sample(rng), make_sample(rng, t_len=5)])
 
 
+# --- the plans a model keeps ---------------------------------------------------
+
+def random_model(variant, seed):
+    rng = new_rng(seed)
+    model = network.build_model(network.ModelSpec(variant, hidden_size=5),
+                                rng, x_mean=np.array([0.45]))
+    for t in model.named_tensors().values():
+        t[...] = rng.standard_normal(t.shape)
+    return model
+
+
+def windows_for(variant, rng, n):
+    missing = 0.5 if variant == "gru-d" else 0.0
+    return [make_sample(rng, missing=missing) for _ in range(n)]
+
+
+@pytest.fixture
+def laid_out(monkeypatch):
+    """Weak references to every plan laid out while the test runs."""
+    plans = []
+
+    class Counted(network.Plan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            plans.append(weakref.ref(self))
+
+    monkeypatch.setattr(network, "Plan", Counted)
+    return plans
+
+
+@pytest.mark.parametrize("variant", network.VARIANTS)
+def test_a_kept_plan_reads_training_stats_set_after_its_layout(variant):
+    """A forward after `set_train_stats` (which rebinds the decay cell's
+    mean) runs on the kept plan and equals a fresh model's, bit for bit."""
+    model = random_model(variant, 60)
+    sample = windows_for(variant, new_rng(61), 1)[0]
+    if variant == "gru-d":
+        # missing steps read the mean: before any observation, and decayed
+        # toward it where the input decay's rectifier is on
+        decay = model.layers[0]
+        decay.w_decay_x[...] = np.abs(decay.w_decay_x)
+        decay.b_decay_x[...] = 0.0
+        x = sample.x.copy()
+        x[:2] = np.nan
+        m = compute_mask(x)
+        sample = dataclasses.replace(sample, x=x, m=m,
+                                     delta=compute_intervals(sample.s, m))
+    before = network.forward(model, sample)[0]
+    kept = model._plans[True][0]
+    network.set_train_stats(model, TrainStats(mean=np.array([0.9]),
+                                              max_interval=np.array([3.0])))
+    got, trace = network.forward(model, sample)
+    assert trace.plan is kept
+    fresh = copy.deepcopy(model)  # rebuilt by the constructor: no plans
+    assert not fresh._plans
+    assert got == network.forward(fresh, sample)[0]
+    assert (got != before) == (variant == "gru-d")
+
+
+@pytest.mark.parametrize("variant", network.VARIANTS)
+def test_forwards_whose_traces_are_dropped_lay_out_one_plan(variant,
+                                                            laid_out):
+    model = random_model(variant, 62)
+    for sample in windows_for(variant, new_rng(63), 6):
+        network.forward(model, sample)[0]
+    assert len(laid_out) == 1
+
+
+@pytest.mark.parametrize("variant", network.VARIANTS)
+def test_scoring_batches_keeps_at_most_two_plans(variant, laid_out):
+    """Batches of 9-15 windows between one-window forwards: each batch shape
+    is laid out once, the one-window plan once, and no more than two plans
+    stay alive."""
+    model = random_model(variant, 64)
+    rng = new_rng(65)
+    for b in range(9, 16):
+        network.predict(model, windows_for(variant, rng, b))
+        network.forward(model, windows_for(variant, rng, 1)[0])[0]
+    gc.collect()
+    assert len(laid_out) == 1 + 7
+    assert sum(ref() is not None for ref in laid_out) <= 2
+
+
+@pytest.mark.parametrize("variant", network.VARIANTS)
+def test_predict_on_a_kept_plan_equals_forward_and_returns_a_copy(variant):
+    model = random_model(variant, 66)
+    rng = new_rng(67)
+    first, second = windows_for(variant, rng, 11), windows_for(variant, rng, 11)
+    preds = network.predict(model, first)
+    kept, want = model._plans[False][0], preds.copy()
+    again = network.predict(model, second)
+    assert model._plans[False][0] is kept
+    assert np.array_equal(preds, want)  # the caller's array, left alone
+    for batch, got in ((second, again), (first, network.predict(model, first))):
+        for b, sample in enumerate(batch):
+            assert got[b] == network.forward(model, sample)[0]
+
+
 def test_grud_reduction_full_sequence():
     from test_cells import grud_from_gru
     rng = new_rng(13)
@@ -609,10 +711,16 @@ def test_trainable_fields_are_views_of_theta(variant, tmp_path):
     loaded = network.load_model(tmp_path / "model.json")
     assert_fields_are_views_of_theta(loaded)
     assert np.array_equal(loaded.theta, model.theta)
-    twin = copy.deepcopy(model)
-    assert_fields_are_views_of_theta(twin)
-    assert not np.shares_memory(twin.theta, model.theta)
-    assert np.array_equal(twin.theta, model.theta)
+    # a model that keeps a plan and has lent its trace copies and pickles
+    # through its constructor, without the plan
+    sample = make_sample(new_rng(19), missing=0.3 * (variant == "gru-d"))
+    y_hat, trace = network.forward(model, sample)
+    for twin in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+        assert_fields_are_views_of_theta(twin)
+        assert not np.shares_memory(twin.theta, model.theta)
+        assert np.array_equal(twin.theta, model.theta)
+        assert not twin._plans
+        assert network.forward(twin, sample)[0] == y_hat
 
 
 GATED_V1 = ["w_r", "u_r", "b_r", "w_z", "u_z", "b_z", "w_c", "u_c", "b_c"]

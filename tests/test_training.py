@@ -1,5 +1,6 @@
 import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -227,25 +228,26 @@ def irregular_windows(rng, n=9, t_len=6, d=2, missing=0.5):
     return out
 
 
+def window_model(rng, d=2):
+    return network.build_model(network.ModelSpec("gru", input_dim=d,
+                                                 hidden_size=3), rng)
+
+
 @pytest.mark.parametrize("imputation", sorted(training.IMPUTATIONS))
 def test_prepare_inputs_equals_the_per_window_path(imputation):
-    """One imputer call over the stacked split and the timestamp gaps as
-    intervals give, bit for bit, what imputing each window and recomputing
-    its intervals gives."""
+    """One imputer call over the stacked split gives, bit for bit, what
+    imputing each window gives, as the gru's stacked first-layer input."""
     from frictioncast import missingness
     rng = new_rng(50)
     samples = irregular_windows(rng)
     stats = missingness.empirical_mean([s.view() for s in samples])
-    got = training._prepare_inputs(samples, "gru", imputation, stats)
+    got = training._prepare_inputs(window_model(rng), samples, imputation,
+                                   stats)
     impute = training.IMPUTATIONS[imputation]
-    assert len(got) == len(samples)
+    assert got.shape == (len(samples), *samples[0].x.shape)
     for g, s in zip(got, samples):
-        assert np.array_equal(g.x, impute(s.view(), stats))
-        assert np.array_equal(g.m, np.ones_like(s.m))
-        assert np.array_equal(g.delta, missingness.compute_intervals(
-            s.s, np.ones_like(s.m)))
-        assert np.array_equal(g.s, s.s) and g.y == s.y
-        assert not np.any(np.isnan(g.x))
+        assert np.array_equal(g, impute(s.view(), stats))
+    assert not np.any(np.isnan(got))
 
 
 def test_prepare_inputs_rejects_windows_that_do_not_stack_or_increase():
@@ -255,14 +257,15 @@ def test_prepare_inputs_rejects_windows_that_do_not_stack_or_increase():
     samples = irregular_windows(rng)
     stats = missingness.empirical_mean([s.view() for s in samples])
     short = irregular_windows(rng, n=1, t_len=4)
+    model = window_model(rng)
     with pytest.raises(ShapeError):
-        training._prepare_inputs(samples + short, "gru", "last", stats)
+        training._prepare_inputs(model, samples + short, "last", stats)
     stalled = samples[0]
     stalled = timeseries.TimeSeriesSample(
         x=stalled.x, s=np.concatenate([[0.0, 0.0], stalled.s[2:]]),
         m=stalled.m, delta=stalled.delta, y=stalled.y)
     with pytest.raises(DataError, match="strictly increasing"):
-        training._prepare_inputs([stalled] + samples, "gru", "last", stats)
+        training._prepare_inputs(model, [stalled] + samples, "last", stats)
 
 
 # --- the step plan -----------------------------------------------------------
@@ -273,11 +276,14 @@ def one_off_train(model, splits, imputation, config, seed):
     from frictioncast import missingness
     stats = missingness.empirical_mean([s.view() for s in splits.train])
     network.set_train_stats(model, stats)
-    variant = model.spec.variant
-    train_set = training._prepare_inputs(splits.train, variant, imputation,
-                                         stats)
-    val_set = training._prepare_inputs(splits.validation, variant, imputation,
-                                       stats)
+
+    def prepared(samples):  # each window imputed on its own
+        if model.spec.variant == "gru-d":
+            return samples
+        return [replace(s, x=training.IMPUTATIONS[imputation](s.view(), stats))
+                for s in samples]
+
+    train_set, val_set = prepared(splits.train), prepared(splits.validation)
     state = AdamState.for_model(model)
     report = training.TrainReport()
     best_val, best_theta, stale = math.inf, None, 0
