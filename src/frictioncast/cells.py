@@ -15,23 +15,28 @@ length (`GruLayer`, `GrudLayer`, `LstmLayer`, `DenseLayer`): its step
 buffers, time major, in column form [T, ·, B, H, 1], and every step's views
 of them, sliced once into per-step tuples that the time loops iterate, so a
 run makes no array, dict or view of its own (numpy's iterator may still
-buffer a broadcast product) and looks up no key. A training job
-lays out one plan per layer for its one-window steps (and one for its
-validation split); one-off calls run on the plans their model keeps
-(`network`), laid out by the same code. A plan reads the parameters through
-views of their memory, and the decay cell's frozen training mean at each
-run, so a kept plan follows every update of the model.
+buffer a broadcast product). The recurrent plans share one outline
+(`_Recurrent`): the forward's buffers and run, and the backward's layout
+and run. A layer kind adds only its own buffers, per-step views and
+factors, and names its step kernel (`STEP`), which a run looks up by name;
+the decay cell's plan is the plain cell's plus its preamble, its decay
+rows and its decay backward. A training job lays out one plan per layer
+for its one-window steps (and one for its validation split); one-off calls
+run on the plans their model keeps (`network`), laid out by the same code.
+A plan reads the parameters through views of their memory, and the decay
+cell's frozen training mean at each run, so a kept plan follows every
+update of the model.
 
 A layer's forward first does the work that does not depend on the hidden
-state, once per window: the input projections W·x and, in the decay cell,
-the decay preamble, which reads the per-window constants of `grud_inputs`.
-Then it calls its step kernel (`gru_step`, `grud_step`, `lstm_step`) once
-per time step over all B rows. Every matrix-vector product is a stacked
-gemv per gate, `W @ X[..., None]`: one BLAS gemv per row, which rounds
-exactly as the one-window `W @ x` does (a gemm over the rows, or one
-[3H, H] product over the gates, would not), so row b of a B-window plan
-equals the one-window plan bit for bit. A layer's `out` [B, T, H] and
-`cache` are batch-major views of its buffers.
+state, once per window: in the decay cell the decay preamble, which reads
+the per-window constants of `grud_inputs`, then the input projections W·x
+(and the decay cell's mask terms V·m). Then it calls its step kernel
+(`gru_step`, `grud_step`, `lstm_step`) once per time step over all B rows.
+Every matrix-vector product is a stacked gemv per gate, `W @ X[..., None]`:
+one BLAS gemv per row, which rounds exactly as the one-window `W @ x` does
+(a gemm over the rows, or one [3H, H] product over the gates, would not),
+so row b of a B-window plan equals the one-window plan bit for bit. A
+layer's `out` [B, T, H] and `cache` are batch-major views of its buffers.
 
 The backward runs on a one-window plan (`lay_out_backward`), one layer at a
 time. It forms the factors that read only the cache once per window, then
@@ -307,13 +312,6 @@ def grud_step_backward(g: tuple, s: tuple):
     return da, dh_prev, dh_hat
 
 
-def _grud_back_steps(cores, gamma_h, dh_prev) -> tuple:
-    """Each step's views for `grud_step_backward`, in the order it unpacks
-    them: the shared gate backward's (`_gated_back_steps`, whose state grad
-    is dh_hat), the hidden decay rate gamma_h [T, H] and the state grads."""
-    return tuple(zip(cores, gamma_h, dh_prev))
-
-
 def lstm_step(g: tuple, xw, h_prev, c_prev, h, c, a, fio, f, i, o, gc, tc):
     """One step of B rows of the LSTM: the layer's recurrent weights and
     biases (U [4, 1, H, H], b [4, 1, H, 1]) of the gates f, i, o, g and its
@@ -358,18 +356,6 @@ def lstm_step_backward(g: tuple, s: tuple):
     return da, dh_prev, dc_prev
 
 
-def _lstm_back_steps(d_outs, dcs, da, fio, om_fio, om_tc, om_gg, cg, tc,
-                     dhs) -> tuple:
-    """Each step's views for `lstm_step_backward`, in the order it unpacks
-    them, from one window's step grads d_outs, cell-state grads dcs and
-    state grads dhs [T + 1, H], gate-gradient buffer da [T, 4, H], cached
-    gates fio [T, 3, H] and tanh(c) tc, the factors 1 - fio, 1 - tc^2 and
-    1 - gc^2, and the stacked [c_prev, gc] cg."""
-    return tuple(zip(d_outs, dcs[1:], da, da[..., None], da[:, :2], da[:, 2],
-                     da[:, :3], da[:, 3], fio, fio[:, 0], fio[:, 1], fio[:, 2],
-                     om_fio, om_tc, om_gg, cg, tc, dhs[:, :, None], dhs, dcs))
-
-
 def dense_step(w, x, a, y, b):
     """The dense layer over rows x [B, n_in, 1]: y = tanh(w·x + b) into
     y [B, n_out], whose column view a [B, n_out, 1] takes the product."""
@@ -395,68 +381,117 @@ def dense_step_backward(y, dy, da, da_col, x, g_w, w_t, dx):
 # --- layer plans ----------------------------------------------------------------
 
 class _Recurrent:
-    """The backward that the recurrent layer plans share, over one window
-    (B = 1): a time loop of step kernels that fills the gate-gradient
-    buffer `da` [T, G, H], then the per-step weight-gradient rows [T, n],
-    added in reverse time order into the layer's slice of the gradient."""
+    """What every recurrent layer plan shares: the forward's buffers (the
+    states `hs`, the input projections `xw`, `out`, `cache`) and its run
+    (an optional preamble, the `projections`, the time loop); the backward
+    over one window (B = 1): the grad from above, the gate-gradient buffer
+    `da` [T, G, H], the input-gradient products, and a run of the factors,
+    the time loop, the input grad, then the weight rows. A layer kind lays
+    out its own buffers, per-step views and factors, and names its step
+    kernel `STEP` (the backward's is `STEP + "_backward"`), which a run
+    looks up by name, so a wrapped kernel is the one that runs."""
 
-    def _lay_out_grads(self, grad, above, n_gates: int) -> tuple:
-        """The buffers every recurrent backward has: the layer's slice of the
-        gradient `grad` and its per-step rows, the gate-gradient buffer `da`
-        [T, G, H] and the state grads `dhs` [T + 1, H]. `above` is the grad
-        arriving from above: [H] at the last step's output (the top layer)
-        or [T, H] at every step's (the input grads of the layer above).
-        Returns each step's output grad and the sum that forms it first
-        (None: none)."""
-        t_len, h_dim = self.out.shape[1:]
+    STEP: ClassVar[str]
+    # the order a step sums its gates' input grads in: (c + r) + z in the
+    # gated cells; None: 0.0 + f + i + o + g
+    GATE_SUM: ClassVar[tuple | None] = None
+    # whether `dx` is formed when the layer below wants none
+    KEEP_DX: ClassVar[bool] = False
+
+    def _lay_out_forward(self, p, x: np.ndarray, h0) -> tuple:
+        """The buffers every recurrent forward has, for B windows x
+        [B, T, D] from state h0; returns B, T and H."""
+        _check_windows(x, p.W.shape[2])
+        b, t_len = x.shape[:2]
+        h_dim = p.W.shape[1]
+        self.p, self.x = p, x
+        self.hs = _state_steps(h0, b, t_len, h_dim)
+        self.xw = np.empty((t_len, len(p.GATES), b, h_dim, 1))
+        self.projections = [(p.W[:, None], _columns(x), self.xw)]
+        self.out = _batch_major(self.hs)[:, 1:]
+        return b, t_len, h_dim
+
+    @cached_property
+    def cache(self) -> dict:
+        """The intermediates the backward reads, as batch-major views."""
+        return self._cache_views()
+
+    def _preamble(self) -> None:
+        """The work before the input projections: none."""
+
+    def forward(self) -> None:
+        """Runs the layer over its windows, into `out` and `cache`."""
+        self._preamble()
+        for product in self.projections:
+            np.matmul(*product)
+        step, g = globals()[self.STEP], self.g
+        for s in self.steps:
+            step(g, *s)
+
+    def lay_out_backward(self, grad: np.ndarray, above: np.ndarray,
+                         input_grad: bool = True) -> None:
+        """Lays out the backward over the layer's one window: `grad` is its
+        slice of the gradient vector, which `backward` fills; `above` the
+        grad arriving from above, [H] at the last step's output (the top
+        layer) or [T, H] at every step's (the input grads of the layer
+        above); with `input_grad`, `backward` also fills `dx` [T, D], the
+        grad at the layer's input."""
+        p, (t_len, h_dim) = self.p, self.out.shape[1:]
         self.grad, self.rows = grad, np.empty((t_len, grad.size))
         self.rows_rev = self.rows[::-1]
-        self.da = np.empty((t_len, n_gates, h_dim))
+        self.da = da = np.empty((t_len, len(p.GATES), h_dim))
         self.dhs = dhs = np.zeros((t_len + 1, h_dim))
         if above.ndim == 1:  # step t's output grad is step t + 1's dh_prev
-            return (*dhs[1:t_len], above), (None,) * t_len
-        sums = np.empty((t_len, h_dim))  # ... plus the input grad above
-        return tuple(sums), tuple(zip(dhs[1:], above, sums))
+            d_outs, adds = (*dhs[1:t_len], above), (None,) * t_len
+        else:  # ... plus the input grad above, summed first
+            sums = np.empty((t_len, h_dim))
+            d_outs, adds = tuple(sums), tuple(zip(dhs[1:], above, sums))
+        self.dx = None
+        if input_grad or self.KEEP_DX:
+            d = self.x.shape[2]
+            per_gate = np.empty((t_len, len(p.GATES), d, 1))
+            self.input_products = (p.W.swapaxes(1, 2), da[..., None], per_gate)
+            per_gate, order = per_gate[..., 0], self.GATE_SUM
+            self.gate_sum = ((per_gate,) if order is None
+                             else tuple(per_gate[:, i] for i in order))
+            self.dx = np.empty((t_len, d))
+        c = {k: v[0] for k, v in self.cache.items()}  # the window's
+        w, u, self.bias_rows, *rest = p.lay_out(self.rows)
+        self.row_products = [(da[..., None], c["x"][:, None, None], w)]
+        steps = self._lay_out_steps_back(c, d_outs, u, *rest)
+        self.steps_back = tuple(zip(adds, steps))[::-1]
 
-    def _time_loop(self, step) -> None:
-        g = self.g_back
+    def _decay_backward(self) -> None:
+        """The work between the input grad and the weight rows: none."""
+
+    def backward(self) -> None:
+        """Fills the layer's slice of the gradient (and `dx`) from the grad
+        `above` and the window's cache."""
+        self._factors()
+        step, g = globals()[self.STEP + "_backward"], self.g_back
         for add, s in self.steps_back:
             if add is not None:
                 np.add(*add)
             step(g, s)
-
-    def _input_grad(self) -> None:
-        """The layer's input grad dx [T, D] from the filled buffer `da`: one
-        stacked transposed gemv per gate and step, summed as a step would,
-        (c + r) + z for the gated cells, 0.0 + f + i + o + g for the LSTM."""
-        np.matmul(*self.input_products)
-        gate_sum = self.gate_sum
-        if len(gate_sum) == 1:
-            np.add.reduce(gate_sum[0], axis=1, initial=0.0, out=self.dx)
-        else:
-            g2, g0, g1 = gate_sum
-            np.add(g2, g0, self.dx)
-            self.dx += g1
-
-    def _weight_grads(self) -> None:
-        """The per-step weight-gradient rows, each field's a broadcast
-        product of a gate factor and an operand the forward cached, added
-        in reverse time order from 0.0 into the layer's slice of the
-        gradient: the kept axis is wide, so numpy adds them in turn, not
-        pairwise."""
+        if self.dx is not None:
+            # one stacked transposed gemv per gate and step, summed as a
+            # step would (`GATE_SUM`)
+            np.matmul(*self.input_products)
+            gate_sum = self.gate_sum
+            if len(gate_sum) == 1:
+                np.add.reduce(gate_sum[0], axis=1, initial=0.0, out=self.dx)
+            else:
+                g2, g0, g1 = gate_sum
+                np.add(g2, g0, self.dx)
+                self.dx += g1
+        self._decay_backward()
+        # each field's rows a broadcast product of a gate factor and an
+        # operand the forward cached, added in reverse time order from 0.0:
+        # the kept axis is wide, so numpy adds them in turn, not pairwise
         for a, b, out in self.row_products:
             np.multiply(a, b, out)
         np.copyto(self.bias_rows, self.da)
         np.add.reduce(self.rows_rev, axis=0, initial=0.0, out=self.grad)
-
-    def _lay_out_input_grad(self, w: np.ndarray, d: int, gated: bool):
-        t_len, n_gates = self.da.shape[:2]
-        per_gate = np.empty((t_len, n_gates, d, 1))
-        self.input_products = (w.swapaxes(1, 2), self.da[..., None], per_gate)
-        per_gate = per_gate[..., 0]
-        self.gate_sum = ((per_gate[:, 2], per_gate[:, 0], per_gate[:, 1])
-                         if gated else (per_gate,))
-        self.dx = np.empty((t_len, d))
 
 
 class GruLayer(_Recurrent):
@@ -466,19 +501,17 @@ class GruLayer(_Recurrent):
     [B, T, H] and `cache` (the intermediates the backward reads), and, once
     `lay_out_backward` ran, the backward's buffers and views."""
 
+    STEP = "gru_step"
+    GATE_SUM = (2, 0, 1)
+    STATE = "h_prev"  # the cached state the gates act on
+
     def __init__(self, p: GruParams, x: np.ndarray, h0=None):
-        _check_windows(x, p.W.shape[2])
-        self._lay_out(p, x, h0)
+        self._lay_out_gates(p, x, h0)
         self.steps = tuple(zip(self.xw[:, :2], self.xw[:, 2], self.hs,
                                *self._outs))
 
-    def _lay_out(self, p: GruParams, x: np.ndarray, h0) -> None:
-        b, t_len = x.shape[:2]
-        h_dim = p.W.shape[1]
-        self.p, self.x = p, x
-        self.hs = hs = _state_steps(h0, b, t_len, h_dim)
-        self.xw = xw = np.empty((t_len, 3, b, h_dim, 1))
-        self.project = (p.W[:, None], _columns(x), xw)
+    def _lay_out_gates(self, p: GruParams, x: np.ndarray, h0) -> None:
+        b, t_len, h_dim = self._lay_out_forward(p, x, h0)
         rzs = np.empty((t_len, 2, b, h_dim, 1))
         cs = np.empty((t_len, b, h_dim, 1))
         # the recurrent weights (r, z and c rows), then the scratch of r*h,
@@ -487,70 +520,38 @@ class GruLayer(_Recurrent):
                   p.b[2, :, None], np.empty((b, h_dim, 1)),
                   np.empty((b, h_dim, 1)), np.empty((2, b, h_dim, 1)))
         # each step's outputs: h, rz, r, z, c
-        self._outs = (hs[1:], rzs, rzs[:, 0], rzs[:, 1], cs)
+        self._outs = (self.hs[1:], rzs, rzs[:, 0], rzs[:, 1], cs)
         self._rzs, self._cs = rzs, cs
-        self.out = _batch_major(hs)[:, 1:]
-
-    @cached_property
-    def cache(self) -> dict:
-        """The intermediates the backward reads, as batch-major views."""
-        return self._cache_views()
 
     def _cache_views(self) -> dict:
         return {"x": self.x, "h_prev": _batch_major(self.hs)[:, :-1],
                 "rz": _batch_major(self._rzs), "c": _batch_major(self._cs)}
 
-    def forward(self) -> None:
-        """Runs the layer over its windows, into `out` and `cache`."""
-        np.matmul(*self.project)
-        step, g = gru_step, self.g
-        for s in self.steps:
-            step(g, *s)
-
-    def lay_out_backward(self, grad: np.ndarray, above: np.ndarray,
-                         input_grad: bool = True) -> None:
-        """Lays out the backward over the layer's one window: `grad` is its
-        slice of the gradient vector, which `backward` fills; `above` the
-        grad arriving from above, [H] at the last step's output or [T, H]
-        at every step's; with `input_grad`, `backward` also fills `dx`
-        [T, D], the grad at the layer's input."""
-        adds, cores = self._lay_out_gated_backward(grad, above, "h_prev")
-        self.steps_back = tuple(zip(adds, cores))[::-1]
-        if input_grad:
-            self._lay_out_input_grad(self.p.W, self.x.shape[2], True)
-        else:
-            self.dx = None
-
-    def _lay_out_gated_backward(self, grad, above, state: str) -> tuple:
-        """The gated backward's buffers and views; `state` names the cache
-        entry the gates act on (the decay cell's is h_hat). Returns each
-        step's output-grad sum (`_lay_out_grads`) and its gate views."""
-        p, t_len, h_dim = self.p, self.out.shape[1], self.out.shape[2]
-        cache = {k: v[0] for k, v in self.cache.items()}  # the window's
-        rz, c, x, h = cache["rz"], cache["c"], cache["x"], cache[state]
+    def _lay_out_steps_back(self, c: dict, d_outs, u, *decay) -> tuple:
+        """The gated backward's factors, scratch and U rows over the window's
+        cache `c`; returns each step's views for the backward kernel
+        (`_decay_rows`)."""
+        p, (t_len, _, h_dim) = self.p, self.da.shape
+        da, rz, h = self.da, c["rz"], c[self.STATE]
         om_rz, om_cc = np.empty((t_len, 2, h_dim)), np.empty((t_len, h_dim))
-        ch = np.empty((t_len, h_dim))
-        self.factors = (rz, om_rz, c, om_cc, h, ch)
+        ch, rh = np.empty((2, t_len, h_dim))
+        self.factors = (rz, om_rz, c["c"], om_cc, h, ch)
         ut = p.U.swapaxes(1, 2)
         self.g_back = (ut[0], ut[1], ut[2], np.empty(h_dim), np.empty(h_dim))
-        d_outs, adds = self._lay_out_grads(grad, above, 3)
-        da = self.da
-        # the gates' state grad: dh_prev, or the decay cell's dh_hat
-        self.dh_hat = np.empty((t_len, h_dim)) if state == "h_hat" else None
-        cores = _gated_back_steps(
-            d_outs, da, rz, om_rz, om_cc, ch, h,
-            self.dhs if self.dh_hat is None else self.dh_hat)
-        w, u, b, *self.decay_rows = p.lay_out(self.rows)
-        rh = np.empty((t_len, h_dim))
-        self.row_products = [
+        self.row_products += [
             (rz[:, 0], h, rh),  # the candidate's U acts on r * h_prev
-            (da[..., None], x[:, None, None], w),
             (da[:, :2, :, None], h[:, None, None], u[:, :2]),
             (da[:, 2, :, None], rh[:, None], u[:, 2])]
-        self.bias_rows = b
-        return adds, cores
+        return self._decay_rows(c, (d_outs, da, rz, om_rz, om_cc, ch, h),
+                                *decay)
 
-    def _cache_factors(self) -> None:
+    def _decay_rows(self, c: dict, gates: tuple) -> tuple:
+        """Each step's views for the backward kernel, from the gates' views
+        `gates` (`_gated_back_steps`); the plain cell has no decay rows,
+        and its gates' state grad is the state grad."""
+        return _gated_back_steps(*gates, self.dhs)
+
+    def _factors(self) -> None:
         """The factors that read only the window's cache, formed once per
         window: 1 - rz, 1 - c^2 and c - h_prev."""
         rz, om_rz, c, om_cc, h, ch = self.factors
@@ -559,37 +560,24 @@ class GruLayer(_Recurrent):
         np.subtract(1.0, om_cc, om_cc)
         np.subtract(c, h, ch)
 
-    def backward(self) -> None:
-        """Fills the layer's slice of the gradient (and `dx`) from the grad
-        `above` and the window's cache."""
-        self._cache_factors()
-        self._time_loop(gru_step_backward)
-        if self.dx is not None:
-            self._input_grad()
-        self._weight_grads()
-
 
 GRUD_INPUTS = 6  # m, delta, m * x, x_last, 1 - m, x_last - x_mean
 
 
 def grud_inputs(p: GrudParams, x: np.ndarray, m: np.ndarray,
-                delta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+                delta: np.ndarray) -> np.ndarray:
     """The decay cell's input for B windows of possibly-missing input x, mask
-    m and intervals delta (all [B, T, D]), stacked [B, 6, T, D] (into `out`
-    when given): m, delta, and what depends only on the window and the
-    frozen training mean: m * x, the most recent observation before each
-    step (x_last; the mean before any), 1 - m and x_last - x_mean. Missing
-    entries of `x` may be NaN; they are never read."""
+    m and intervals delta (all [B, T, D]), stacked [B, 6, T, D]: m, delta,
+    and what depends only on the window and the frozen training mean: m * x,
+    the most recent observation before each step (x_last; the mean before
+    any), 1 - m and x_last - x_mean. Missing entries of `x` may be NaN; they
+    are never read."""
     if p.x_mean is None:
         raise ShapeError("x_mean is unset on the decay cell parameters")
     _check_windows(x, p.W.shape[2])
     _check("m", m, x.shape)
     _check("delta", delta, x.shape)
-    shape = (len(x), GRUD_INPUTS, *x.shape[1:])
-    if out is None:
-        out = np.empty(shape)
-    else:
-        _check("out", out, shape)
+    out = np.empty((len(x), GRUD_INPUTS, *x.shape[1:]))
     m_in, delta_in, m_x, x_last, om_m, x_dev = out.swapaxes(0, 1)
     m_in[...] = m
     delta_in[...] = delta
@@ -603,12 +591,18 @@ def grud_inputs(p: GrudParams, x: np.ndarray, m: np.ndarray,
 
 class GrudLayer(GruLayer):
     """The decay cell laid out once for B windows of `grud_inputs` [B, 6, T,
-    D] from state h0 [B, H] (zero by default).
+    D] from state h0 [B, H] (zero by default): the plain cell's plan on the
+    decayed input x_hat and state h_hat, plus the decay preamble and its
+    backward.
 
     Everything that does not depend on the hidden state runs once per
     window before the time loop: both decay rates, the decayed input x_hat
     (the last observation decayed toward the frozen training mean on
     missing entries), its projections and the mask terms V·m."""
+
+    STEP = "grud_step"
+    STATE = "h_hat"
+    KEEP_DX = True  # the grad at x_hat: the input decay's backward reads it
 
     def __init__(self, p: GrudParams, inputs: np.ndarray, h0=None):
         if (inputs.ndim != 4 or inputs.shape[1] != GRUD_INPUTS
@@ -619,19 +613,19 @@ class GrudLayer(GruLayer):
         b, t_len, _ = m.shape
         h_dim = p.W.shape[1]
         x_hat = np.empty(m.shape)
-        self._lay_out(p, x_hat, h0)
+        self._lay_out_gates(p, x_hat, h0)
         xw, hs = self.xw, self.hs
         vm = np.empty(xw.shape)
+        self.projections.append((p.V[:, None], _columns(m), vm))
         pre_x, gamma_x, work = np.empty((3, *m.shape))
         pre_h_col = np.empty((b, t_len, h_dim, 1))
         pre_h, gamma_h = pre_h_col[..., 0], np.empty((b, t_len, h_dim))
         h_hats = np.empty(hs[1:].shape)
-        self.preamble = (
+        self.decay_in = (
             (p.w_decay_x, delta, pre_x, p.b_decay_x, gamma_x),
             (p.w_decay_h, delta[..., None], pre_h_col, pre_h, p.b_decay_h,
              gamma_h),
-            (x_last, work, om_m, m_x, x_hat),
-            (p.V[:, None], _columns(m), vm))
+            (x_last, work, om_m, m_x, x_hat))
         gamma_col = gamma_h.swapaxes(0, 1)[..., None]  # [T, B, H, 1]
         self.steps = tuple(zip(xw[:, :2], xw[:, 2], vm[:, :2], vm[:, 2],
                                gamma_col, hs, h_hats, *self._outs))
@@ -645,9 +639,9 @@ class GrudLayer(GruLayer):
         return (super()._cache_views() | decay
                 | {"h_hat": _batch_major(decay["h_hat"])})
 
-    def forward(self) -> None:
-        """Runs the layer over its windows, into `out` and `cache`."""
-        decay_x, decay_h, mix, mask = self.preamble
+    def _preamble(self) -> None:
+        """Both decay rates and the decayed input x_hat."""
+        decay_x, decay_h, mix = self.decay_in
         w, delta, pre, b, gamma = decay_x
         np.multiply(w, delta, pre)
         pre += b
@@ -665,24 +659,16 @@ class GrudLayer(GruLayer):
         out += work
         out *= om_m
         out += m_x
-        np.matmul(*self.project)
-        np.matmul(*mask)
-        step, g = grud_step, self.g
-        for s in self.steps:
-            step(g, *s)
 
-    def lay_out_backward(self, grad: np.ndarray, above: np.ndarray,
-                         input_grad: bool = True) -> None:
-        """As `GruLayer.lay_out_backward`; the grad at x_hat, `dx`, is always
-        formed, because the input decay's backward reads it."""
-        adds, cores = self._lay_out_gated_backward(grad, above, "h_hat")
-        self._lay_out_input_grad(self.p.W, self.x.shape[2], True)
-        cores = _grud_back_steps(cores, self.cache["gamma_h"][0], self.dhs)
-        self.steps_back = tuple(zip(adds, cores))[::-1]
-        m, delta, om_m, x_dev = (v[0] for v in self.inputs)
-        c = {k: v[0] for k, v in self.cache.items()}
-        v, w_dx, b_dx, w_dh, b_dh = self.decay_rows
-        t_len, h_dim = self.dh_hat.shape
+    def _decay_rows(self, c: dict, gates: tuple, v, w_dx, b_dx, w_dh,
+                    b_dh) -> tuple:
+        """The V and decay tensors' rows and the decay backward's buffers;
+        each step's views for `grud_step_backward`: the gates' (whose state
+        grad is dh_hat, the grad at the decayed state), the hidden decay
+        rate gamma_h [T, H] and the state grads."""
+        m, delta, om_m, x_dev = (a[0] for a in self.inputs)
+        t_len, h_dim = c["h_hat"].shape
+        self.dh_hat = np.empty((t_len, h_dim))
         self.row_products += [(self.da[..., None], m[:, None, None], v),
                               (b_dx, delta, w_dx),
                               (b_dh[..., None], delta[:, None], w_dh)]
@@ -692,30 +678,26 @@ class GrudLayer(GruLayer):
              np.empty((t_len, h_dim), bool), b_dh),
             (self.dx, om_m, x_dev, np.empty(m.shape), c["gamma_x"],
              np.empty(m.shape), c["pre_x"], np.empty(m.shape, bool), b_dx))
+        return tuple(zip(_gated_back_steps(*gates, self.dh_hat),
+                         c["gamma_h"], self.dhs))
 
-    def backward(self) -> None:
-        """Fills the layer's slice of the gradient and `dx` from the grad
-        `above` and the window's cache; the decay tensors' grads are zero
-        where the rectifier is off."""
-        self._cache_factors()
-        self._time_loop(grud_step_backward)
-        self._input_grad()
+    def _decay_backward(self) -> None:
+        """The decay tensors' rows, zero where the rectifier is off."""
         hidden, inp = self.decay
         # hidden decay path, h_hat = gamma_h * h_prev:
         # where(pre_h > 0, -gamma_h * (dh_hat * h_prev), 0)
         dh_hat, h_prev, dgamma, gamma, da, pre, on, out = hidden
         np.multiply(dh_hat, h_prev, dgamma)
-        _decay_backward(pre, gamma, dgamma, da, on, out)
+        _rate_backward(pre, gamma, dgamma, da, on, out)
         # input decay path: x_hat mixes x_last and the frozen mean on
         # missing slots, so dgamma_x = dx_hat * (1 - m) * (x_last - x_mean)
         dx, om_m, x_dev, dgamma, gamma, da, pre, on, out = inp
         np.multiply(dx, om_m, dgamma)
         dgamma *= x_dev
-        _decay_backward(pre, gamma, dgamma, da, on, out)
-        self._weight_grads()
+        _rate_backward(pre, gamma, dgamma, da, on, out)
 
 
-def _decay_backward(pre, gamma, dgamma, work, on, out) -> None:
+def _rate_backward(pre, gamma, dgamma, work, on, out) -> None:
     """The grad at the decay pre-activation, -gamma * dgamma where the
     rectifier is on (pre > 0) and 0.0 where it is off, into `out`."""
     np.negative(gamma, work)
@@ -729,15 +711,12 @@ class LstmLayer(_Recurrent):
     """The LSTM laid out once for B windows x [B, T, D] from states h0 and
     c0 [B, H] (zero by default), as `GruLayer` is."""
 
+    STEP = "lstm_step"
+
     def __init__(self, p: LstmParams, x: np.ndarray, h0=None, c0=None):
-        _check_windows(x, p.W.shape[2])
-        b, t_len = x.shape[:2]
-        h_dim = p.W.shape[1]
-        self.p, self.x = p, x
-        hs = _state_steps(h0, b, t_len, h_dim)
+        b, t_len, h_dim = self._lay_out_forward(p, x, h0)
+        hs, xw = self.hs, self.xw
         cs = _state_steps(c0, b, t_len, h_dim)
-        xw = np.empty((t_len, 4, b, h_dim, 1))
-        self.project = (p.W[:, None], _columns(x), xw)
         a_s, tcs = np.empty(xw.shape), np.empty(hs[1:].shape)
         # the recurrent weights, then the scratch of i*gc and the sigmoid
         self.g = (p.U[:, None], p.b[:, None, :, None], np.empty((b, h_dim, 1)),
@@ -746,51 +725,34 @@ class LstmLayer(_Recurrent):
                                a_s[:, 0], a_s[:, 1], a_s[:, 2], a_s[:, 3],
                                tcs))
         self._steps = (hs, cs, a_s, tcs)
-        self.out = _batch_major(hs)[:, 1:]
 
-    @cached_property
-    def cache(self) -> dict:
-        """The intermediates the backward reads, as batch-major views."""
+    def _cache_views(self) -> dict:
         h, c, a, tc = map(_batch_major, self._steps)
         return {"x": self.x, "h_prev": h[:, :-1], "c_prev": c[:, :-1],
                 "c": c[:, 1:], "fio": a[:, :, :3], "gc": a[:, :, 3], "tc": tc}
 
-    def forward(self) -> None:
-        """Runs the layer over its windows, into `out` and `cache`."""
-        np.matmul(*self.project)
-        step, g = lstm_step, self.g
-        for s in self.steps:
-            step(g, *s)
-
-    def lay_out_backward(self, grad: np.ndarray, above: np.ndarray,
-                         input_grad: bool = True) -> None:
-        """As `GruLayer.lay_out_backward`."""
-        p, t_len, h_dim = self.p, self.out.shape[1], self.out.shape[2]
-        c = {k: v[0] for k, v in self.cache.items()}
-        fio, gc, tc = c["fio"], c["gc"], c["tc"]
+    def _lay_out_steps_back(self, c: dict, d_outs, u) -> tuple:
+        """The LSTM backward's factors, cell-state grads `dcs` [T + 1, H],
+        scratch and U rows over the window's cache `c`; returns each step's
+        views for `lstm_step_backward`, in the order it unpacks them."""
+        p, (t_len, _, h_dim) = self.p, self.da.shape
+        da, dhs, fio, gc, tc = self.da, self.dhs, c["fio"], c["gc"], c["tc"]
         om_fio = np.empty(fio.shape)
         om_tc, om_gg = np.empty((2, t_len, h_dim))
-        cg = np.empty((t_len, 2, h_dim))
+        cg = np.empty((t_len, 2, h_dim))  # the stacked [c_prev, gc]
         self.factors = (fio, om_fio, tc, om_tc, gc, om_gg, c["c_prev"], cg)
         self.dcs = dcs = np.zeros((t_len + 1, h_dim))
         self.g_back = (p.U.swapaxes(1, 2), np.empty(h_dim),
                        np.empty((4, h_dim, 1)))
-        d_outs, adds = self._lay_out_grads(grad, above, 4)
-        cores = _lstm_back_steps(d_outs, dcs, self.da, fio, om_fio, om_tc,
-                                 om_gg, cg, tc, self.dhs)
-        self.steps_back = tuple(zip(adds, cores))[::-1]
-        if input_grad:
-            self._lay_out_input_grad(p.W, self.x.shape[2], False)
-        else:
-            self.dx = None
-        da, x, h = self.da, c["x"], c["h_prev"]
-        w, u, self.bias_rows = p.lay_out(self.rows)
-        self.row_products = [(da[..., None], x[:, None, None], w),
-                             (da[..., None], h[:, None, None], u)]
+        self.row_products.append((da[..., None], c["h_prev"][:, None, None],
+                                  u))
+        return tuple(zip(d_outs, dcs[1:], da, da[..., None], da[:, :2],
+                         da[:, 2], da[:, :3], da[:, 3], fio, fio[:, 0],
+                         fio[:, 1], fio[:, 2], om_fio, om_tc, om_gg, cg, tc,
+                         dhs[:, :, None], dhs, dcs))
 
-    def backward(self) -> None:
-        """Fills the layer's slice of the gradient (and `dx`) from the grad
-        `above` and the window's cache."""
+    def _factors(self) -> None:
+        """1 - fio, 1 - tc^2, 1 - gc^2 and [c_prev, gc], once per window."""
         fio, om_fio, tc, om_tc, gc, om_gg, c_prev, cg = self.factors
         np.subtract(1.0, fio, om_fio)
         np.multiply(tc, tc, om_tc)
@@ -799,10 +761,6 @@ class LstmLayer(_Recurrent):
         np.subtract(1.0, om_gg, om_gg)
         cg[:, 0] = c_prev
         cg[:, 1] = gc
-        self._time_loop(lstm_step_backward)
-        if self.dx is not None:
-            self._input_grad()
-        self._weight_grads()
 
 
 class DenseLayer:
@@ -855,7 +813,10 @@ def init_gru(d: int, h: int, rng) -> GruParams:
 
 # Zero-initialized decay weights would sit exactly on the rectifier kink,
 # where the subgradient is 0, leaving the decay mechanism untrainable. A small
-# positive weight keeps the rectifier active so the decay rates can learn.
+# positive weight makes the rectifier active at initialisation only: training
+# can push a unit's pre-activation to <= 0 on every step, where its rate is
+# exactly 1 and its gradient exactly 0, so it stays dead (the input decay
+# ends so in 8 of the 10 criterion 7 gru-d jobs).
 DECAY_WEIGHT_INIT = 0.1
 
 

@@ -9,26 +9,27 @@ raw mask/interval channels of a sample; every other variant requires fully
 observed (or pre-imputed) input.
 
 The forward and the backward run on a `Plan`: each layer's plan (`cells`)
-laid out once for B same-length windows of the first layer's input
-(`layer_inputs` forms and checks it from stacked windows, `stack_inputs`
-from a list of them) and the head's; the first `backward` on a one-window
-plan lays out its backward, down to the gradient vector. `Plan.run(rows)`
-copies rows of first-layer input in and runs the forward. A training job
-lays out its plans once and runs them (`training.train`).
+laid out once for B same-length windows of the first layer's input and the
+head's. `layer_inputs` is the one place that forms and checks that input,
+from stacked windows (`stack_inputs` stacks a list of them first). The
+first `backward` on a one-window plan lays out its backward, down to the
+gradient vector. `Plan.run(rows)` copies rows of first-layer input in and
+runs the forward. A training job lays out its plans once and runs them
+(`training.train`).
 
 The one-off calls `forward(model, sample)`, `predict(model, samples)` and
 `predict_inputs(model, inputs)` run on plans the model keeps, at most two:
 one for one window and one for a batch (the last batch shape it scored).
 A call reuses the kept plan of its kind when it has the call's shape and
 no live trace holds it; otherwise it lays out a fresh plan, which is kept
-in its place. `forward` writes its window's first-layer input straight
-into the plan, runs it and returns a `Trace` of it, for `backward`: while
-the caller holds the trace, no later call runs on that plan, so the trace's
-caches, prediction and gradient stay those of its window. The model tells
-by a weak reference to the last trace it lent, so nothing rests on
-reference counts. `predict` returns a copy of the plan's predictions; its
-entry b equals `forward` on window b alone bit for bit, because every
-product in the pass rounds per row.
+in its place. `forward` runs the one-window plan on its window's
+`layer_inputs`, as `predict_inputs` runs the batch plan, and returns a
+`Trace` of it, for `backward`: while the caller holds the trace, no later
+call runs on that plan, so the trace's caches, prediction and gradient
+stay those of its window. The model tells by a weak reference to the last
+trace it lent, so nothing rests on reference counts. `predict` returns a
+copy of the plan's predictions; its entry b equals `forward` on window b
+alone bit for bit, because every product in the pass rounds per row.
 
 `backward` returns the loss gradient in the parameter vector's layout,
 layer by layer too: a time loop of step kernels fills the layer's
@@ -130,7 +131,8 @@ class Model:
 def build_model(spec: ModelSpec, rng,
                 x_mean: np.ndarray | None = None) -> Model:
     """Initialize a model; weights N(0, 1/fan_in), biases zero, decay weights
-    at the small positive constant that keeps the rectifier trainable."""
+    at a small positive constant, so the decay rectifier starts active (it
+    may still end dead after training, `cells.DECAY_WEIGHT_INIT`)."""
     d, h = spec.input_dim, spec.hidden_size
     layers = []
     if spec.variant == "ffnn":
@@ -178,53 +180,38 @@ def stack_windows(samples: list[TimeSeriesSample],
                          ) from exc
 
 
-def _input_shape(model: Model, x: np.ndarray) -> tuple:
-    """The shape of the model's first-layer input for windows x [B, T, D],
-    once they are checked to fit the model."""
-    spec = model.spec
-    if x.ndim != 3 or x.shape[2] != spec.input_dim:
-        raise ShapeError(
-            f"sample has {x.shape[-1]} variables, model expects {spec.input_dim}"
-        )
-    b, t_len, d = x.shape
-    if spec.variant == "gru-d":
-        return (b, cells.GRUD_INPUTS, t_len, d)
-    if spec.variant == "ffnn":
-        if t_len * d != model.layers[0].w.shape[1]:
-            raise ShapeError(
-                f"window length {t_len} does not match the configured "
-                f"feed-forward input size"
-            )
-        return (b, t_len * d)
-    return x.shape
-
-
-def _write_inputs(model: Model, x: np.ndarray, m, delta,
-                  out: np.ndarray) -> np.ndarray:
-    """The first-layer input of windows x [B, T, D] that `_input_shape`
-    checked, with their mask m and intervals delta (read by the decay cell
-    only), written into `out`; only the decay cell may read a missing (NaN)
-    value."""
-    if model.spec.variant == "gru-d":
-        return cells.grud_inputs(model.layers[0], x, m, delta, out)
-    if np.isnan(x).any():
-        raise UnimputedValueError(
-            f"unimputed missing value reaching a {model.spec.variant} model"
-        )
-    out[...] = x.reshape(out.shape)
-    return out
-
-
 def layer_inputs(model: Model, x: np.ndarray, m: np.ndarray | None = None,
                  delta: np.ndarray | None = None) -> np.ndarray:
     """The input of the model's first layer for B same-length windows x
     [B, T, D] (m and delta, their mask and intervals, are read by the decay
     cell only), formed and checked once: the windows [B, T, D] for gru and
     lstm, the decay cell's inputs [B, 6, T, D] (`cells.grud_inputs`) for
-    gru-d and the flattened windows [B, T * D] for ffnn; only the decay
-    cell may read a missing (NaN) value."""
-    return _write_inputs(model, x, m, delta,
-                         np.empty(_input_shape(model, x)))
+    gru-d and the flattened windows [B, T * D] for ffnn (views of x, where
+    no copy is needed); only the decay cell may read a missing (NaN)
+    value. An empty batch, or a gru-d call without m or delta, raises
+    ShapeError."""
+    spec = model.spec
+    if not len(x):
+        raise ShapeError("an empty batch: there are no windows to run")
+    if x.ndim != 3 or x.shape[2] != spec.input_dim:
+        raise ShapeError(f"windows of shape {x.shape}: the model expects "
+                         f"[B, T, {spec.input_dim}]")
+    if spec.variant == "gru-d":
+        if m is None or delta is None:
+            raise ShapeError("the decay cell reads each window's mask m and "
+                             "intervals delta, and none were given")
+        return cells.grud_inputs(model.layers[0], x, m, delta)
+    b, t_len, d = shape = x.shape
+    if spec.variant == "ffnn":
+        shape = (b, t_len * d)
+        if shape[1] != model.layers[0].w.shape[1]:
+            raise ShapeError(f"window length {t_len} does not match the "
+                             f"configured feed-forward input size")
+    if np.isnan(x).any():
+        raise UnimputedValueError(
+            f"unimputed missing value reaching a {spec.variant} model"
+        )
+    return np.asarray(x.reshape(shape), dtype=np.float64)
 
 
 def stack_inputs(model: Model, samples: list[TimeSeriesSample]) -> np.ndarray:
@@ -290,7 +277,7 @@ class Plan:
         first-layer input (same shape) into it when given: predictions [B]
         (the plan's buffer)."""
         if rows is not None:
-            np.copyto(self.inputs, rows)
+            self.inputs[...] = rows
         for layer in self.layers:
             layer.forward()
         w, h, y_hat, b = self.head
@@ -331,14 +318,14 @@ def _free_plan(model: Model, shape: tuple) -> Plan:
 
 
 def forward(model: Model, sample: TimeSeriesSample):
-    """Unroll the model over one window, written straight into the model's
-    one-window plan (`_free_plan`); returns (prediction, trace), the trace
-    holding that plan, with each layer's cache, for `backward`: it stays as
-    it is while the caller holds it."""
-    x = sample.x[None]
-    plan = _free_plan(model, _input_shape(model, x))
-    _write_inputs(model, x, sample.m[None], sample.delta[None], plan.inputs)
-    y_hat = float(plan.run()[0])
+    """Unroll the model over one window, its `layer_inputs` run on the
+    model's one-window plan (`_free_plan`); returns (prediction, trace),
+    the trace holding that plan, with each layer's cache, for `backward`:
+    it stays as it is while the caller holds it."""
+    inputs = layer_inputs(model, sample.x[None], sample.m[None],
+                          sample.delta[None])
+    plan = _free_plan(model, inputs.shape)
+    y_hat = float(plan.run(inputs)[0])
     trace = Trace(plan)
     model._plans[True] = plan, weakref.ref(trace)
     return y_hat, trace

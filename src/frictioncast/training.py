@@ -6,14 +6,15 @@ reproduces the whole run bit for bit. The best-validation parameters are
 restored when early stopping fires.
 
 Each split reaches the model as its first-layer input, stacked and checked
-once (`_prepare_inputs`, `network.layer_inputs`): raw windows for the decay
-model, one imputer call over the stacked split for the others. A job lays
-out its training step once (`train`): a `network.Plan` holds the forward
-and backward of one training window and another the forward of the
-validation split, and Adam's state holds its scratch. Each window's forward
-(`Plan.run`), backward and Adam update then only compute, into the same
-buffers, as one-off calls would, bit for bit. `evaluate` scores a split in
-one pass on the model's kept batch plan (`network.predict_inputs`).
+once on one path (`_prepare_inputs`): the split is stacked, imputed by one
+imputer call only when a model other than the decay model gets missing
+entries, then formed by `network.layer_inputs`. A job lays out its training
+step once (`train`): a `network.Plan` holds the forward and backward of one
+training window and another the forward of the validation split, and
+Adam's state holds its scratch. Each window's forward (`Plan.run`),
+backward and Adam update then only compute, into the same buffers, as
+one-off calls would, bit for bit. `evaluate` scores a split in one pass on
+the model's kept batch plan (`network.predict_inputs`).
 """
 
 from __future__ import annotations
@@ -115,27 +116,23 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState,
 def _prepare_inputs(model: network.Model, samples: list[TimeSeriesSample],
                     imputation: str | None,
                     stats: missingness.TrainStats) -> np.ndarray:
-    """The model's first-layer input for a split, stacked and checked once
-    (`network.layer_inputs`): the decay model reads the raw windows, the
-    others windows with their missing entries imputed."""
-    variant = model.spec.variant
-    if variant == "gru-d":
-        return network.stack_inputs(model, samples)
+    """The model's first-layer input for a split (`network.layer_inputs`),
+    stacked and checked once: the decay model reads the raw windows, the
+    others windows with their missing entries imputed by one imputer call
+    over the stacked split (the imputers are elementwise)."""
     x, m, stamps, delta = network.stack_windows(samples, "x", "m", "s", "delta")
-    if (m > 0.5).all():
-        return network.layer_inputs(model, x)
-    if imputation is None:
-        raise ConfigError(
-            f"{variant} model requires an imputation choice on missing data"
-        )
-    if imputation not in IMPUTATIONS:
-        raise ConfigError(f"unknown imputation {imputation!r}; "
-                          f"one of {sorted(IMPUTATIONS)}")
-    missingness.check_increasing(stamps)
-    # the imputers are elementwise: one call fills the stacked split
-    filled = IMPUTATIONS[imputation](
-        missingness.MaskedView(x=x, m=m, s=stamps, delta=delta), stats)
-    return network.layer_inputs(model, filled)
+    variant = model.spec.variant
+    if variant != "gru-d" and not (m > 0.5).all():
+        if imputation is None:
+            raise ConfigError(f"{variant} model requires an imputation "
+                              f"choice on missing data")
+        if imputation not in IMPUTATIONS:
+            raise ConfigError(f"unknown imputation {imputation!r}; "
+                              f"one of {sorted(IMPUTATIONS)}")
+        missingness.check_increasing(stamps)
+        x = IMPUTATIONS[imputation](
+            missingness.MaskedView(x=x, m=m, s=stamps, delta=delta), stats)
+    return network.layer_inputs(model, x, m, delta)
 
 
 def _mean_loss(y_hat: np.ndarray, y: list[float]) -> float:

@@ -360,7 +360,8 @@ def test_init_contract():
     p = cells.init_grud(1, 4, new_rng(0))
     assert np.all(p.b_r == 0) and np.all(p.b_z == 0) and np.all(p.b_c == 0)
     assert np.all(p.b_decay_x == 0) and np.all(p.b_decay_h == 0)
-    # decay weights start slightly positive so the rectifier can train
+    # decay weights start slightly positive, so the rectifier starts active
+    # (training may still leave a decay unit dead)
     assert np.all(p.w_decay_x == cells.DECAY_WEIGHT_INIT)
     assert np.all(p.w_decay_h == cells.DECAY_WEIGHT_INIT)
     assert np.all(p.v_r == 0) and np.all(p.v_z == 0) and np.all(p.v_c == 0)

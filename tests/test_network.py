@@ -381,6 +381,32 @@ def test_predict_rejects_what_forward_rejects():
         network.predict(gru, [make_sample(rng), make_sample(rng, t_len=5)])
 
 
+def test_layer_inputs_of_the_decay_cell_require_mask_and_intervals():
+    rng = new_rng(45)
+    grud = network.build_model(network.ModelSpec("gru-d", hidden_size=3), rng,
+                               x_mean=np.array([0.5]))
+    x = make_sample(rng).x[None]
+    with pytest.raises(ShapeError, match="mask m and intervals delta"):
+        network.layer_inputs(grud, x)
+
+
+def test_layer_inputs_name_the_window_shape_they_expect():
+    gru = network.build_model(network.ModelSpec("gru", hidden_size=3),
+                              new_rng(47))
+    x = make_sample(new_rng(48)).x
+    for bad in (x, np.concatenate([x, x], axis=1)[None]):  # [T, D]; D = 2
+        with pytest.raises(ShapeError, match=r"expects \[B, T, 1\]"):
+            network.layer_inputs(gru, bad)
+
+
+@pytest.mark.parametrize("variant", network.VARIANTS)
+def test_predict_rejects_an_empty_batch(variant):
+    model = network.build_model(network.ModelSpec(variant, hidden_size=3),
+                                new_rng(46), x_mean=np.array([0.5]))
+    with pytest.raises(ShapeError, match="empty batch"):
+        network.predict(model, [])
+
+
 # --- the plans a model keeps ---------------------------------------------------
 
 def random_model(variant, seed):

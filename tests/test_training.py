@@ -174,6 +174,33 @@ def test_grud_trains_on_missing_data():
     assert np.array_equal(model.layers[0].x_mean, model.train_stats.mean)
 
 
+def test_a_dead_decay_unit_stays_dead_through_training():
+    """Decay pre-activations w * delta + b <= 0 on every step give a decay
+    rate of exactly 1 and a zero gradient, so Adam leaves the four decay
+    tensors bit-equal over two epochs while the rest of the model trains."""
+    splits = small_split(missing=0.5)
+    model = fresh_model("gru-d", hidden=3)
+    layer = model.layers[0]
+    layer.w_decay_x[...] = 0.01
+    layer.b_decay_x[...] = -1.0
+    layer.w_decay_h[...] = 0.01
+    layer.b_decay_h[...] = -1.0
+    names = ("w_decay_x", "b_decay_x", "w_decay_h", "b_decay_h")
+    start = {k: getattr(layer, k).copy() for k in names}
+    theta = model.theta.copy()
+    cfg = TrainConfig(max_epochs=2, patience=1)
+    model, report = training.train(model, splits, None, cfg, seed=0)
+    assert report.epochs_run == 2
+    for k in names:
+        assert np.array_equal(getattr(layer, k), start[k]), k
+    assert not np.array_equal(model.theta, theta)  # the gates did train
+    for s in splits.train:  # dead on every training step
+        cache = network.forward(model, s)[1].caches[0]
+        assert np.any(s.m == 0.0)
+        assert np.all(cache["pre_x"] <= 0.0) and np.all(cache["pre_h"] <= 0.0)
+        assert np.all(cache["gamma_x"] == 1.0)
+
+
 # --- evaluation --------------------------------------------------------------
 
 def test_evaluate_perfect_model():
